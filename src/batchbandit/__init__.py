@@ -4,27 +4,20 @@ prior search, strategy evaluation and Monte-Carlo validation."""
 
 from .core import (
     ConfigurationError,
-    DimensionalParams,
-    DimensionalState,
     InternalError,
     InvariantState,
     SymmetricPrior,
     UGrid,
-    from_invariant,
     loss_profile,
     one_step_loss,
-    to_invariant,
     transition_variance,
 )
 from .dp import (
-    DimensionalSolution,
     DpConfig,
     SolveOutput,
     StrategyTable,
     ValueTable,
     assemble_bayes_risk,
-    extract_strategy,
-    solve_dimensional,
     solve_invariant,
 )
 from .pde import PdeConfig, PdeSolution, solve_pde
@@ -59,9 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchTrialConfig",
     "ConfigurationError",
-    "DimensionalParams",
-    "DimensionalSolution",
-    "DimensionalState",
     "DpConfig",
     "EvalResult",
     "EvalStrategy",
@@ -85,8 +75,6 @@ __all__ = [
     "ValueTable",
     "assemble_bayes_risk",
     "evaluate",
-    "extract_strategy",
-    "from_invariant",
     "golden_section_max",
     "load_strategy",
     "loss_profile",
@@ -99,9 +87,7 @@ __all__ = [
     "search_multi_atom",
     "simulate_bernoulli",
     "simulate_gaussian",
-    "solve_dimensional",
     "solve_invariant",
     "solve_pde",
-    "to_invariant",
     "transition_variance",
 ]

@@ -6,7 +6,8 @@ command's parameters; explicit flags override it and unknown keys are
 rejected.  All floats in outputs carry six significant digits; files are
 written after the computation finishes (temp file + rename), so failures
 leave nothing behind.  Exit codes: 0 success, 2 invalid configuration or
-input file, 1 internal numerical failure.
+input file (ConfigurationError), 1 anything else: a numerical failure or a
+bug.
 """
 
 from __future__ import annotations
@@ -14,19 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, InternalError, SymmetricPrior, UGrid
+from .core import ConfigurationError, SymmetricPrior, UGrid
 from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
 from .search import refine, scan, search_multi_atom
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from .strategy_eval import EvalStrategy, risk_curve
-from .strategy_io import load_strategy, save_strategy
+from .strategy_io import atomic_write, load_strategy, save_strategy
 
 _FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
 
@@ -40,20 +40,10 @@ def _j6(x: float) -> float:
     return float(_f6(x))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def _emit(summary: dict, out: str | None) -> None:
     text = json.dumps(summary, indent=2) + "\n"
     if out:
-        _atomic_write_text(Path(out), text)
+        atomic_write(Path(out), lambda tmp: tmp.write_text(text))
     else:
         sys.stdout.write(text)
 
@@ -74,11 +64,27 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ConfigurationError(f"{args.config}: unknown config keys: {unknown}")
+        for key, value in file_cfg.items():
+            _check_file_value(path, key, value, args.options[key])
     merged = {}
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_cfg.get(key, default)
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        merged[key] = value if value is not None else default
     return merged
+
+
+def _check_file_value(path: Path, key: str, value, action: argparse.Action) -> None:
+    """Hold a config-file value to the type and choices of its flag; null
+    counts as not given and JSON integers pass as floats."""
+    if value is None:
+        return
+    kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type or str
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    ok = ok and (kind is bool or not isinstance(value, bool))
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigurationError(f"{path}: {key} must be a valid {kind.__name__}, got {value!r}")
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -99,12 +105,12 @@ def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
         try:
             atoms = tuple((float(w), float(p)) for w, p in doc["atoms"])
-        except (KeyError, TypeError, ValueError):
+            c = doc.get("c")
+            c = math.inf if c in (None, "inf") else float(c)
+        except (AttributeError, KeyError, TypeError, ValueError):
             raise ConfigurationError(
                 f"{path}: expected {{'atoms': [[w, pi], ...], 'c': optional}}"
             ) from None
-        c = doc.get("c")
-        c = math.inf if c in (None, "inf") else float(c)
         return SymmetricPrior(atoms, c=c), None
     if cfg.get("d") is None:
         raise ConfigurationError("need either --d or --prior-file")
@@ -121,7 +127,10 @@ def _cmd_solve(args) -> int:
     )
     _require(cfg, "epsilon")
     prior, d = _resolve_prior(cfg)
-    out = solve_invariant(DpConfig(cfg["epsilon"], prior, UGrid(cfg["u_max"], cfg["du"])))
+    out = solve_invariant(
+        DpConfig(cfg["epsilon"], prior, UGrid(cfg["u_max"], cfg["du"])),
+        keep_strategy=bool(cfg["strategy_out"]),
+    )
     if cfg["strategy_out"]:
         save_strategy(out.strategy, cfg["strategy_out"], prior)
     _emit(
@@ -175,7 +184,8 @@ def _cmd_figure1(args) -> int:
                 )
             )
         )
-    _atomic_write_text(Path(cfg["out"]), "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
     return 0
 
 
@@ -230,7 +240,7 @@ def _cmd_search(args) -> int:
     if cfg["multi_atom"]:
         if cfg["backend"] != "dp":
             raise ConfigurationError("--multi-atom runs on the dp backend only")
-        ma = search_multi_atom(cfg["epsilon"], int(cfg["multi_atom"]), grid=grid)
+        ma = search_multi_atom(cfg["epsilon"], cfg["multi_atom"], grid=grid)
         summary["multi_atom"] = {
             "risk": _j6(ma.risk),
             "atoms": [[_j6(w), _j6(p)] for w, p in ma.prior.atoms],
@@ -250,28 +260,25 @@ def _cmd_simulate(args) -> int:
     )
     _require(cfg, "strategy")
     table = load_strategy(cfg["strategy"])
-    orientation = cfg["orientation"]
-    if orientation is not None:
-        orientation = int(orientation)
     if cfg["model"] == "bernoulli":
         trial = BatchTrialConfig(
-            n_items=int(cfg["t"]), batch_size=int(cfg["m"]), p=cfg["p"], d=cfg["d"],
-            replications=int(cfg["reps"]), seed=int(cfg["seed"]),
-            per_item=bool(cfg["per_item"]), orientation=orientation,
+            n_items=cfg["t"], batch_size=cfg["m"], p=cfg["p"], d=cfg["d"],
+            replications=cfg["reps"], seed=cfg["seed"],
+            per_item=cfg["per_item"], orientation=cfg["orientation"],
         )
         res = simulate_bernoulli(trial, table)
     elif cfg["model"] == "gaussian":
         res = simulate_gaussian(
-            table.n_packets, cfg["d"], table, int(cfg["reps"]), int(cfg["seed"]),
-            orientation=orientation,
+            table.n_packets, cfg["d"], table, cfg["reps"], cfg["seed"],
+            orientation=cfg["orientation"],
         )
     else:
         raise ConfigurationError(f"model must be 'bernoulli' or 'gaussian', got {cfg['model']!r}")
     _emit(
         {
             "model": cfg["model"],
-            "t": int(cfg["t"]),
-            "m": int(cfg["m"]),
+            "t": cfg["t"],
+            "m": cfg["m"],
             "p": cfg["p"],
             "d": cfg["d"],
             "replications": res.replications,
@@ -368,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--du", type=float)
     p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.set_defaults(options={a.dest: a for a in p._actions})
     return parser
 
 
@@ -382,11 +391,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -34,33 +34,6 @@ class InternalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DimensionalParams:
-    """Arm means and the half-gap bound C of the dimensional problem."""
-
-    m1: float
-    m2: float
-    C: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m1) and math.isfinite(self.m2)):
-            raise ConfigurationError("arm means must be finite")
-        if not (self.C > 0.0):
-            raise ConfigurationError("support bound C must be positive")
-        if abs(self.m1 - self.m2) > 2.0 * self.C + 1e-12:
-            raise ConfigurationError(
-                f"|m1 - m2| = {abs(self.m1 - self.m2)} exceeds 2*C = {2.0 * self.C}"
-            )
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.m1 + self.m2)
-
-    @property
-    def half_gap(self) -> float:
-        return 0.5 * (self.m1 - self.m2)
-
-
-@dataclass(frozen=True)
 class SymmetricPrior:
     """Symmetric discrete prior on the scaled half-gap.
 
@@ -176,95 +149,38 @@ class InvariantState:
             raise ValueError(f"t1 + t2 = {self.t1 + self.t2} exceeds the horizon")
 
 
-@dataclass(frozen=True)
-class DimensionalState:
-    """Cumulative incomes and item counts of the dimensional problem.
-
-    n_l counts processed items on arm l (a multiple of the batch size);
-    x_l is the cumulative income, fixed to 0 while the arm is unobserved.
-    """
-
-    x1: float
-    x2: float
-    n1: int
-    n2: int
-    horizon: int
-    batch: int
-
-    def __post_init__(self):
-        if self.batch < 1 or self.horizon < self.batch:
-            raise ValueError("need batch >= 1 and horizon >= batch")
-        if self.horizon % self.batch != 0:
-            raise ValueError("horizon must be a multiple of the batch size")
-        for n in (self.n1, self.n2):
-            if n < 0 or n % self.batch != 0:
-                raise ValueError("item counts must be nonnegative multiples of the batch size")
-        if self.n1 + self.n2 > self.horizon:
-            raise ValueError("processed items exceed the horizon")
-        if self.n1 == 0 and self.x1 != 0.0:
-            raise ValueError("x1 must be 0 while arm 1 is unobserved")
-        if self.n2 == 0 and self.x2 != 0.0:
-            raise ValueError("x2 must be 0 while arm 2 is unobserved")
-
-    @property
-    def U(self) -> float:
-        """Cross-weighted income difference (X1*n2 - X2*n1)/n; 0 before any data."""
-        n = self.n1 + self.n2
-        if n == 0:
-            return 0.0
-        return (self.x1 * self.n2 - self.x2 * self.n1) / n
+def packet_count(epsilon: float) -> int:
+    """Number of packets 1/epsilon of a batch fraction in (0, 0.5]; anything
+    else, a non-integer 1/epsilon included, is a ConfigurationError."""
+    if not (0.0 < epsilon <= 0.5):
+        raise ConfigurationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    n = round(1.0 / epsilon)
+    if abs(n * epsilon - 1.0) > 1e-9:
+        raise ConfigurationError(f"1/epsilon must be an integer, got 1/{epsilon}")
+    return n
 
 
-def to_invariant(state: DimensionalState) -> InvariantState:
-    """Map a dimensional state to the invariant scale (u = U/sqrt(N))."""
-    root = math.sqrt(state.horizon)
-    return InvariantState(
-        u=state.U / root,
-        t1=state.n1 / state.horizon,
-        t2=state.n2 / state.horizon,
-    )
-
-
-def from_invariant(state: InvariantState, horizon: int, batch: int) -> DimensionalState:
-    """Canonical dimensional representative of an invariant state.
-
-    The income split behind u is not unique; the representative puts the
-    whole statistic on arm 1 (x2 = 0).  Fractions must land on the item
-    lattice of the given horizon and batch size.
-    """
-    counts = []
-    for t in (state.t1, state.t2):
-        n = int(round(t * horizon))
-        if abs(n - t * horizon) > 1e-6:
-            raise ValueError(f"fraction {t} is not on the item lattice of horizon {horizon}")
-        counts.append(n)
-    n1, n2 = counts
-    U = state.u * math.sqrt(horizon)
-    if n2 > 0:
-        x1, x2 = U * (n1 + n2) / n2, 0.0
-    else:
-        if abs(U) > 1e-12:
-            raise ValueError("u must be 0 while an arm is unobserved")
-        x1, x2 = 0.0, 0.0
-    return DimensionalState(x1=x1, x2=x2, n1=n1, n2=n2, horizon=horizon, batch=batch)
-
-
-def loss_profile(prior: SymmetricPrior, ell: int, u, t1: float, t2: float) -> np.ndarray:
+def loss_profile(prior: SymmetricPrior, ell: int, u, t1, t2) -> np.ndarray:
     """Prior-weighted one-step loss of action ell over a row of u values.
 
     g_ell(u, t1, t2) = sum_i pi_i w_i exp((-1)^ell*2*u*w_i - 2*w_i^2*t1*t2/t)
-    with t = t1 + t2.  Exponents are clipped at EXP_CLIP to keep the losing
-    branch finite for extreme u*w products.
+    with t = t1 + t2.  Scalar t1, t2 give one row; equal-length arrays give
+    one row per (t1, t2) pair, e.g. a whole anti-diagonal.  Exponents are
+    clipped at EXP_CLIP to keep the losing branch finite for extreme u*w
+    products.
     """
     if ell not in (1, 2):
         raise ValueError(f"action must be 1 or 2, got {ell}")
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     t = t1 + t2
-    if t <= 0.0:
+    if (t <= 0.0).any():
         raise ValueError("state precedes any observation (t1 + t2 = 0)")
     sign = -2.0 if ell == 1 else 2.0
     tau = t1 * t2 / t
+    if tau.ndim:
+        tau = tau[:, None]
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
+    out = np.zeros(np.broadcast_shapes(u.shape, tau.shape))
     for w, p in prior.atoms:
         out += (p * w) * np.exp(np.minimum(sign * w * u - 2.0 * w * w * tau, EXP_CLIP))
     return out

@@ -16,6 +16,12 @@ Bayes risk assembles from the slice (eps, eps):
 
 Convolutions use discrete Gaussian weights at grid offsets (no interpolation)
 with Dirichlet-0 reads beyond +-u_max.
+
+backward_sweep is the one implementation of that walk.  It takes the
+successor expectation and the combination of the two action values as
+callbacks: solve_invariant convolves and takes the argmin, recording the
+actions as it goes; pde.solve_pde swaps in a 3-tap stencil;
+strategy_eval.evaluate convolves and blends by a fixed strategy.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .core import (
     convolve_zero_padded,
     gaussian_kernel,
     loss_profile,
+    packet_count,
 )
 
 
@@ -46,12 +53,7 @@ class DpConfig:
     grid: UGrid = field(default_factory=UGrid)
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon <= 0.5):
-            raise ConfigurationError(f"epsilon must lie in (0, 0.5], got {self.epsilon}")
-        n = round(1.0 / self.epsilon)
-        if abs(n * self.epsilon - 1.0) > 1e-9:
-            raise ConfigurationError(f"1/epsilon must be an integer, got 1/{self.epsilon}")
-        if self.n_packets > 2 and not self._grid_resolves_some_kernel():
+        if packet_count(self.epsilon) > 2 and not self._grid_resolves_some_kernel():
             raise ConfigurationError(
                 f"du={self.grid.du} exceeds 3x the largest transition sigma at every "
                 "interior stage; the grid cannot resolve any kernel"
@@ -78,8 +80,7 @@ class ValueTable:
     slices maps (k1, k2) to the value row over the u-grid.  A full solve
     with keep_values=True retains every diagonal from 2 to n_packets; the
     memory-lean default keeps only (1, 1), which is all the risk assembly
-    needs.  The prior the table was built under travels with it so that
-    strategies can be re-derived.
+    needs.  The prior the table was built under travels with it.
     """
 
     epsilon: float
@@ -132,33 +133,66 @@ class SolveOutput:
     bayes_risk_no_initial: float
 
 
-def _diagonal_step(
-    prior: SymmetricPrior,
-    eps: float,
+def backward_sweep(
+    epsilon: float,
+    n_packets: int,
     grid: UGrid,
-    K: int,
-    successor: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward step: values and argmin actions on diagonal k1 + k2 = K
-    from the successor diagonal K + 1 (rows indexed by k1)."""
+    prior: SymmetricPrior,
+    expect,
+    combine,
+    *,
+    keep_values: bool = False,
+) -> tuple[dict[tuple[int, int], np.ndarray], float, float]:
+    """Walk the anti-diagonals K = n_packets - 1 .. 2 back from the zero
+    terminal diagonal; returns (slices, total risk, risk without the initial
+    stage).
+
+    Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
+    Each step fills l1 = eps*g1 and l2 = eps*g2 from one loss_profile call,
+    lets expect(K, succ, l1, l2) add the expectations of the successor
+    diagonal succ in place, and takes the diagonal's values from
+    combine(K, l1, l2).  slices holds every diagonal with keep_values,
+    otherwise only (1, 1).
+    """
     u = grid.points
-    t = K * eps
-    # kernel for a j-batch opposite arm; the same set serves both actions
-    kernels = [gaussian_kernel(eps * (j * eps) ** 2 / (t * (t + eps)), grid) for j in range(K + 1)]
-    cur = np.empty((K + 1, u.size))
-    act = np.empty((K + 1, u.size), dtype=np.int8)
-    for k1 in range(K + 1):
-        k2 = K - k1
-        g1 = loss_profile(prior, 1, u, k1 * eps, k2 * eps)
-        g2 = g1[::-1]  # sign flip in u swaps the actions
-        r1 = eps * g1 + convolve_zero_padded(successor[k1 + 1], kernels[k2])
-        r2 = eps * g2 + convolve_zero_padded(successor[k1], kernels[k1])
-        take1 = r1 <= r2
-        cur[k1] = np.where(take1, r1, r2)
-        act[k1] = np.where(take1, 1, 2)
-    if np.isnan(cur).any():
-        raise InternalError(f"NaN in value slice at diagonal {K}")
-    return cur, act
+    succ = np.zeros((n_packets + 1, u.size))
+    slices: dict[tuple[int, int], np.ndarray] = {}
+    if keep_values:
+        slices.update(((k1, n_packets - k1), succ[k1]) for k1 in range(n_packets + 1))
+    for K in range(n_packets - 1, 1, -1):
+        k1 = np.arange(K + 1)
+        l1 = loss_profile(prior, 1, u, k1 * epsilon, (K - k1) * epsilon)
+        l1 *= epsilon
+        l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
+        expect(K, succ, l1, l2)
+        cur = combine(K, l1, l2)
+        if np.isnan(cur).any():
+            raise InternalError(f"NaN in value slice at diagonal {K}")
+        if keep_values:
+            slices.update(((i, K - i), cur[i]) for i in range(K + 1))
+        succ = cur
+    # after the loop succ is diagonal 2 (or the terminal one when P == 2);
+    # its row 1 is the (eps, eps) slice the risk assembly needs
+    slices.setdefault((1, 1), succ[1])
+    return (slices, *_assemble(succ[1], grid, epsilon, prior))
+
+
+def gaussian_expectations(epsilon: float, grid: UGrid):
+    """backward_sweep's expect for the exact recursion: each row adds its two
+    successor rows convolved with the transition kernels."""
+
+    def expect(K, succ, l1, l2):
+        t = K * epsilon
+        # kernel for a j-batch opposite arm; the same set serves both actions
+        kernels = [
+            gaussian_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
+            for j in range(K + 1)
+        ]
+        for k1 in range(K + 1):
+            l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
+            l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
+
+    return expect
 
 
 def solve_invariant(
@@ -167,35 +201,25 @@ def solve_invariant(
     """Backward sweep over all anti-diagonals; returns value, strategy and
     the assembled Bayes risk.
 
-    keep_values retains every slice (needed by extract_strategy and
-    table-level diagnostics); the default keeps only (1, 1).  keep_strategy
-    drops the action table for memory-lean risk sweeps.
+    keep_values retains every slice (table-level diagnostics); the default
+    keeps only (1, 1).  keep_strategy=False drops the action table for
+    memory-lean risk sweeps.
     """
     P = config.n_packets
     grid, prior, eps = config.grid, config.prior, config.epsilon
-    n_u = grid.n_points
+    actions = np.zeros((P + 1, P + 1, grid.n_points), dtype=np.int8) if keep_strategy else None
 
-    slices: dict[tuple[int, int], np.ndarray] = {}
-    actions = np.zeros((P + 1, P + 1, n_u), dtype=np.int8) if keep_strategy else None
+    def argmin(K, l1, l2):
+        take1 = l1 <= l2  # value ties resolve to action 1
+        if actions is not None:
+            k1 = np.arange(K + 1)
+            actions[k1, K - k1] = np.where(take1, 1, 2)
+        return np.where(take1, l1, l2)
 
-    succ = np.zeros((P + 1, n_u))
-    if keep_values:
-        for k1 in range(P + 1):
-            slices[(k1, P - k1)] = succ[k1]
-    for K in range(P - 1, 1, -1):
-        cur, act = _diagonal_step(prior, eps, grid, K, succ)
-        if keep_values:
-            for k1 in range(K + 1):
-                slices[(k1, K - k1)] = cur[k1]
-        if keep_strategy:
-            for k1 in range(K + 1):
-                actions[k1, K - k1] = act[k1]
-        succ = cur
-    # after the loop succ is diagonal 2 (or the terminal one when P == 2);
-    # its row 1 is the (eps, eps) slice the risk assembly needs
-    slices.setdefault((1, 1), succ[1])
+    slices, total, no_initial = backward_sweep(
+        eps, P, grid, prior, gaussian_expectations(eps, grid), argmin, keep_values=keep_values
+    )
     value = ValueTable(epsilon=eps, grid=grid, n_packets=P, prior=prior, slices=slices)
-    total, no_initial = assemble_bayes_risk(value, prior)
     strategy = (
         StrategyTable(epsilon=eps, grid=grid, n_packets=P, actions=actions)
         if keep_strategy
@@ -206,6 +230,16 @@ def solve_invariant(
     )
 
 
+def _assemble(
+    row: np.ndarray, grid: UGrid, epsilon: float, prior: SymmetricPrior
+) -> tuple[float, float]:
+    no_initial = centered_gaussian_expectation(row, grid, 0.5 * epsilon)
+    total = no_initial + 2.0 * epsilon * prior.mean_w
+    if not (math.isfinite(total) and total >= 0.0):
+        raise InternalError(f"assembled risk is not a nonnegative number: {total}")
+    return total, no_initial
+
+
 def assemble_bayes_risk(value: ValueTable, prior: SymmetricPrior) -> tuple[float, float]:
     """(total, no_initial): quadrature of the (eps, eps) slice against the
     variance-eps/2 Gaussian, plus the closed-form turn-by-turn term
@@ -213,94 +247,4 @@ def assemble_bayes_risk(value: ValueTable, prior: SymmetricPrior) -> tuple[float
     row = value.slices.get((1, 1))
     if row is None:
         raise ValueError("value table must contain the slice (1, 1)")
-    no_initial = centered_gaussian_expectation(row, value.grid, 0.5 * value.epsilon)
-    total = no_initial + 2.0 * value.epsilon * prior.mean_w
-    if not (math.isfinite(total) and total >= 0.0):
-        raise InternalError(f"assembled risk is not a nonnegative number: {total}")
-    return total, no_initial
-
-
-def extract_strategy(value: ValueTable) -> StrategyTable:
-    """Re-derive the argmin actions from a fully retained value table by
-    replaying the diagonal step against the stored successor slices."""
-    P = value.n_packets
-    missing = [
-        (k1, K - k1)
-        for K in range(2, P + 1)
-        for k1 in range(K + 1)
-        if (k1, K - k1) not in value.slices
-    ]
-    if missing:
-        raise ValueError(
-            f"value table is missing {len(missing)} slices (solve with keep_values=True)"
-        )
-    actions = np.zeros((P + 1, P + 1, value.grid.n_points), dtype=np.int8)
-    for K in range(P - 1, 1, -1):
-        succ = np.stack([value.slices[(k1, K + 1 - k1)] for k1 in range(K + 2)])
-        _, act = _diagonal_step(value.prior, value.epsilon, value.grid, K, succ)
-        for k1 in range(K + 1):
-            actions[k1, K - k1] = act[k1]
-    return StrategyTable(
-        epsilon=value.epsilon, grid=value.grid, n_packets=P, actions=actions
-    )
-
-
-def solve_dimensional(
-    horizon: int,
-    batch: int,
-    prior: SymmetricPrior,
-    grid: UGrid | None = None,
-    *,
-    keep_values: bool = False,
-    keep_strategy: bool = True,
-) -> "DimensionalSolution":
-    """Solve the dimensional problem (item horizon, batch size, prior on the
-    half-gap v with support C) through the invariant recursion.
-
-    Risks and values scale by sqrt(horizon); the lattice maps via
-    k_l = n_l / batch and u = U / sqrt(horizon).
-    """
-    if batch < 1 or horizon < 2 * batch:
-        raise ConfigurationError("need batch >= 1 and horizon >= 2 * batch")
-    if horizon % batch != 0:
-        raise ConfigurationError("horizon must be a multiple of the batch size")
-    root = math.sqrt(horizon)
-    inv_prior = SymmetricPrior(
-        tuple((w * root, p) for w, p in prior.atoms),
-        c=prior.c * root if math.isfinite(prior.c) else math.inf,
-    )
-    cfg = DpConfig(batch / horizon, inv_prior, grid if grid is not None else UGrid())
-    out = solve_invariant(cfg, keep_values=keep_values, keep_strategy=keep_strategy)
-    return DimensionalSolution(
-        horizon=horizon,
-        batch=batch,
-        bayes_risk=root * out.bayes_risk,
-        bayes_risk_no_initial=root * out.bayes_risk_no_initial,
-        invariant=out,
-    )
-
-
-@dataclass
-class DimensionalSolution:
-    """Invariant solve rescaled to item units."""
-
-    horizon: int
-    batch: int
-    bayes_risk: float
-    bayes_risk_no_initial: float
-    invariant: SolveOutput
-
-    def action_at(self, U: float, n1: int, n2: int) -> int:
-        self._check_counts(n1, n2)
-        root = math.sqrt(self.horizon)
-        return self.invariant.strategy.action_at(n1 // self.batch, n2 // self.batch, U / root)
-
-    def value_at(self, U: float, n1: int, n2: int) -> float:
-        self._check_counts(n1, n2)
-        root = math.sqrt(self.horizon)
-        return root * self.invariant.value.value_at(U / root, n1 // self.batch, n2 // self.batch)
-
-    def _check_counts(self, n1: int, n2: int) -> None:
-        for n in (n1, n2):
-            if n % self.batch != 0:
-                raise ValueError(f"item count {n} is not a multiple of the batch size")
+    return _assemble(row, value.grid, value.epsilon, prior)

@@ -10,23 +10,18 @@ the exact solver but replaces the convolution with a discrete Laplacian:
 with Dirichlet 0 beyond +-u_max.  The scheme is monotone iff eps <= du^2
 (worst case c_l = 1/2), which the configuration enforces; coarser u-grids
 are the price of small eps here, the exact solver has no such coupling.
+The march is dp.backward_sweep with the stencil as its expectation and a
+plain minimum, pinned to 0 at +-u_max, as its combination.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EXP_CLIP,
-    ConfigurationError,
-    InternalError,
-    SymmetricPrior,
-    UGrid,
-)
-from .dp import ValueTable, assemble_bayes_risk
+from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
+from .dp import ValueTable, backward_sweep
 
 
 @dataclass(frozen=True)
@@ -39,11 +34,7 @@ class PdeConfig:
     u_max: float = 2.3
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon <= 0.5):
-            raise ConfigurationError(f"epsilon must lie in (0, 0.5], got {self.epsilon}")
-        n = round(1.0 / self.epsilon)
-        if abs(n * self.epsilon - 1.0) > 1e-9:
-            raise ConfigurationError(f"1/epsilon must be an integer, got 1/{self.epsilon}")
+        packet_count(self.epsilon)
         if self.epsilon > self.du * self.du * (1.0 + 1e-12):
             raise ConfigurationError(
                 f"explicit scheme is unstable: eps={self.epsilon} exceeds "
@@ -67,16 +58,6 @@ class PdeSolution:
     value: ValueTable
 
 
-def _loss_rows(prior: SymmetricPrior, u: np.ndarray, tau_col: np.ndarray) -> np.ndarray:
-    """g_1 over a whole diagonal: rows indexed by the state's t1*t2/t column."""
-    out = np.zeros((tau_col.size, u.size))
-    for w, p in prior.atoms:
-        out += (p * w) * np.exp(
-            np.minimum(-2.0 * w * u[None, :] - 2.0 * w * w * tau_col[:, None], EXP_CLIP)
-        )
-    return out
-
-
 def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     """March the explicit scheme backward and assemble the limit risk.
 
@@ -85,41 +66,31 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     """
     P = config.n_packets
     eps, prior, grid = config.epsilon, config.prior, config.grid
-    u = grid.points
     inv_du2 = 1.0 / (grid.du * grid.du)
 
-    slices: dict[tuple[int, int], np.ndarray] = {}
-    succ = np.zeros((P + 1, u.size))
-    if keep_values:
-        for k1 in range(P + 1):
-            slices[(k1, P - k1)] = succ[k1]
-    for K in range(P - 1, 1, -1):
+    def stencil(K, succ, l1, l2):
         t = K * eps
         k1 = np.arange(K + 1)
         t1 = k1 * eps
         t2 = (K - k1) * eps
-        g1 = _loss_rows(prior, u, t1 * t2 / t)
-        g2 = g1[:, ::-1]
         c1 = (t2 * t2 / (2.0 * t * (t + eps)))[:, None]
         c2 = (t1 * t1 / (2.0 * t * (t + eps)))[:, None]
         up, keep = succ[1 : K + 2], succ[: K + 1]
-        l1 = eps * g1 + up
-        l2 = eps * g2 + keep
+        l1 += up
+        l2 += keep
         l1[:, 1:-1] += (eps * inv_du2) * c1 * (up[:, :-2] - 2.0 * up[:, 1:-1] + up[:, 2:])
         l2[:, 1:-1] += (eps * inv_du2) * c2 * (keep[:, :-2] - 2.0 * keep[:, 1:-1] + keep[:, 2:])
+
+    def minimum(K, l1, l2):
         cur = np.minimum(l1, l2)
         cur[:, 0] = 0.0
         cur[:, -1] = 0.0
-        if np.isnan(cur).any():
-            raise InternalError(f"NaN in scheme slice at diagonal {K}")
-        if keep_values:
-            for i in range(K + 1):
-                slices[(i, K - i)] = cur[i]
-        succ = cur
-    slices.setdefault((1, 1), succ[1])
+        return cur
 
+    slices, total, no_initial = backward_sweep(
+        eps, P, grid, prior, stencil, minimum, keep_values=keep_values
+    )
     value = ValueTable(epsilon=eps, grid=grid, n_packets=P, prior=prior, slices=slices)
-    total, no_initial = assemble_bayes_risk(value, prior)
     return PdeSolution(
         config=config, limit_risk=total, limit_risk_no_initial=no_initial, value=value
     )

@@ -28,6 +28,17 @@ from .dp import StrategyTable
 BATCH_REPS = 4096
 
 
+def _check_trial(n_packets: int, d: float, replications: int, orientation) -> None:
+    if n_packets < 2:
+        raise ConfigurationError("need at least two packets")
+    if d < 0.0:
+        raise ConfigurationError(f"d must be nonnegative, got {d}")
+    if replications < 1:
+        raise ConfigurationError("need at least one replication")
+    if orientation not in (None, 1, -1):
+        raise ConfigurationError("orientation must be None, +1 or -1")
+
+
 @dataclass(frozen=True)
 class BatchTrialConfig:
     """Bernoulli batch-processing trial.
@@ -58,21 +69,14 @@ class BatchTrialConfig:
                 f"n_items={self.n_items} must be a positive multiple of "
                 f"batch_size={self.batch_size}"
             )
-        if self.n_packets < 2:
-            raise ConfigurationError("need at least two packets")
+        _check_trial(self.n_packets, self.d, self.replications, self.orientation)
         if not (0.0 < self.p < 1.0):
             raise ConfigurationError(f"p must lie in (0, 1), got {self.p}")
-        if self.d < 0.0:
-            raise ConfigurationError(f"d must be nonnegative, got {self.d}")
         for q in (self.p + self.delta, self.p - self.delta):
             if not (0.0 < q < 1.0):
                 raise ConfigurationError(
                     f"arm probability {q} leaves (0, 1); shrink d or move p"
                 )
-        if self.replications < 1:
-            raise ConfigurationError("need at least one replication")
-        if self.orientation not in (None, 1, -1):
-            raise ConfigurationError("orientation must be None, +1 or -1")
 
     @property
     def n_packets(self) -> int:
@@ -96,39 +100,69 @@ class TrialResult:
     raw_losses: np.ndarray | None = None
 
 
-def _check_lattice(strategy: StrategyTable, n_packets: int) -> None:
-    if strategy.n_packets != n_packets:
-        raise ConfigurationError(
-            f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
-        )
-
-
 def _batch_sizes(replications: int):
     full, rest = divmod(replications, BATCH_REPS)
     return [BATCH_REPS] * full + ([rest] if rest else [])
 
 
-def _step_actions(strategy, k1, k2, X1, X2, step, root_n, force_initial):
-    """Vector of actions for one lockstep step across a replication batch."""
-    n = k1.size
-    if force_initial and step == 0:
-        return np.ones(n, dtype=np.int8)
-    if force_initial and step == 1:
-        return np.full(n, 2, dtype=np.int8)
-    if step == 0:
-        u = np.zeros(n)
-    else:
-        u = (X1 * k2 - X2 * k1) / (step * root_n)
-    iu = strategy.grid.nearest_index(u)
-    a = strategy.actions[k1, k2, iu]
-    if (a == 0).any():
+def _lockstep(
+    strategy: StrategyTable,
+    n_packets: int,
+    replications: int,
+    seed: int,
+    orientation: int | None,
+    force_initial: bool,
+    keep_losses: bool,
+    draw,
+    loss,
+) -> TrialResult:
+    """Replication batches driven through the strategy table in lockstep.
+
+    draw(rng, sign) returns (xi, reward) for one packet per replication,
+    where sign is +1 where the played arm is the better one and -1 where it
+    is the worse; xi feeds the history statistic and reward is summed over
+    the horizon.  loss(total_reward) gives the normalized losses.
+    """
+    if strategy.n_packets != n_packets:
         raise ConfigurationError(
-            f"strategy table is undefined at a state reached in step {step}"
+            f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
         )
-    return a
+    root_n = math.sqrt(n_packets)
+    losses = np.empty(replications)
+    offset = 0
+    sizes = _batch_sizes(replications)
+    for n, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.default_rng(child)
+        if orientation is None:
+            v = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        else:
+            v = np.full(n, float(orientation))
+        X1 = np.zeros(n)
+        X2 = np.zeros(n)
+        k1 = np.zeros(n, dtype=np.int64)
+        k2 = np.zeros(n, dtype=np.int64)
+        total = np.zeros(n)
+        for step in range(n_packets):
+            if force_initial and step < 2:
+                # turn-by-turn start: arm 1, then arm 2
+                on1 = np.full(n, step == 0)
+            else:
+                u = (X1 * k2 - X2 * k1) / (step * root_n) if step else np.zeros(n)
+                a = strategy.actions[k1, k2, strategy.grid.nearest_index(u)]
+                if (a == 0).any():
+                    raise ConfigurationError(
+                        f"strategy table is undefined at a state reached in step {step}"
+                    )
+                on1 = a == 1
+            xi, reward = draw(rng, np.where(on1, v, -v))
+            X1 += np.where(on1, xi, 0.0)
+            X2 += np.where(on1, 0.0, xi)
+            k1 += on1
+            k2 += ~on1
+            total += reward
+        losses[offset : offset + n] = loss(total)
+        offset += n
 
-
-def _reduce(losses: np.ndarray, keep: bool) -> TrialResult:
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
     if not math.isfinite(mean):
@@ -137,7 +171,7 @@ def _reduce(losses: np.ndarray, keep: bool) -> TrialResult:
         normalized_loss_mean=mean,
         standard_error=se,
         replications=losses.size,
-        raw_losses=losses if keep else None,
+        raw_losses=losses if keep_losses else None,
     )
 
 
@@ -145,46 +179,24 @@ def simulate_bernoulli(
     cfg: BatchTrialConfig, strategy: StrategyTable, *, keep_losses: bool = False
 ) -> TrialResult:
     """Batched Bernoulli trial driven by a strategy table; see BatchTrialConfig."""
-    N, M = cfg.n_packets, cfg.batch_size
-    _check_lattice(strategy, N)
-    root_n = math.sqrt(N)
+    M = cfg.batch_size
     xi_scale = 1.0 / math.sqrt(cfg.D * M)
     loss_scale = 1.0 / math.sqrt(cfg.D * cfg.n_items)
     p_best = cfg.p + cfg.delta
 
-    losses = np.empty(cfg.replications)
-    offset = 0
-    children = np.random.SeedSequence(cfg.seed).spawn(len(_batch_sizes(cfg.replications)))
-    for n, child in zip(_batch_sizes(cfg.replications), children):
-        rng = np.random.default_rng(child)
-        if cfg.orientation is None:
-            v = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    def draw(rng, sign):
+        pk = cfg.p + sign * cfg.delta
+        if cfg.per_item:
+            counts = rng.binomial(1, pk, size=(M, pk.size)).sum(axis=0)
         else:
-            v = np.full(n, float(cfg.orientation))
-        p1 = cfg.p + v * cfg.delta
-        p2 = cfg.p - v * cfg.delta
-        X1 = np.zeros(n)
-        X2 = np.zeros(n)
-        k1 = np.zeros(n, dtype=np.int64)
-        k2 = np.zeros(n, dtype=np.int64)
-        successes = np.zeros(n, dtype=np.int64)
-        for step in range(N):
-            a = _step_actions(strategy, k1, k2, X1, X2, step, root_n, cfg.force_initial)
-            pk = np.where(a == 1, p1, p2)
-            if cfg.per_item:
-                counts = rng.binomial(1, pk, size=(M, n)).sum(axis=0)
-            else:
-                counts = rng.binomial(M, pk)
-            xi = counts * xi_scale
-            on1 = a == 1
-            X1 += np.where(on1, xi, 0.0)
-            X2 += np.where(on1, 0.0, xi)
-            k1 += on1
-            k2 += ~on1
-            successes += counts
-        losses[offset : offset + n] = loss_scale * (cfg.n_items * p_best - successes)
-        offset += n
-    return _reduce(losses, keep_losses)
+            counts = rng.binomial(M, pk)
+        return counts * xi_scale, counts
+
+    return _lockstep(
+        strategy, cfg.n_packets, cfg.replications, cfg.seed, cfg.orientation,
+        cfg.force_initial, keep_losses, draw,
+        lambda successes: loss_scale * (cfg.n_items * p_best - successes),
+    )
 
 
 def simulate_gaussian(
@@ -200,42 +212,15 @@ def simulate_gaussian(
 ) -> TrialResult:
     """Direct Gaussian bandit: unit-variance packet incomes with means
     +-d/sqrt(n_packets), same normalization and lockstep driver."""
-    if n_packets < 2:
-        raise ConfigurationError("need at least two packets")
-    if d < 0.0:
-        raise ConfigurationError(f"d must be nonnegative, got {d}")
-    if replications < 1:
-        raise ConfigurationError("need at least one replication")
-    if orientation not in (None, 1, -1):
-        raise ConfigurationError("orientation must be None, +1 or -1")
-    _check_lattice(strategy, n_packets)
+    _check_trial(n_packets, d, replications, orientation)
     root_n = math.sqrt(n_packets)
     m_gap_half = d / root_n
-    losses = np.empty(replications)
-    offset = 0
-    children = np.random.SeedSequence(seed).spawn(len(_batch_sizes(replications)))
-    for n, child in zip(_batch_sizes(replications), children):
-        rng = np.random.default_rng(child)
-        if orientation is None:
-            v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        else:
-            v = np.full(n, float(orientation))
-        m1 = v * m_gap_half
-        m2 = -v * m_gap_half
-        X1 = np.zeros(n)
-        X2 = np.zeros(n)
-        k1 = np.zeros(n, dtype=np.int64)
-        k2 = np.zeros(n, dtype=np.int64)
-        income = np.zeros(n)
-        for step in range(n_packets):
-            a = _step_actions(strategy, k1, k2, X1, X2, step, root_n, force_initial)
-            xi = rng.normal(np.where(a == 1, m1, m2), 1.0)
-            on1 = a == 1
-            X1 += np.where(on1, xi, 0.0)
-            X2 += np.where(on1, 0.0, xi)
-            k1 += on1
-            k2 += ~on1
-            income += xi
-        losses[offset : offset + n] = (n_packets * m_gap_half - income) / root_n
-        offset += n
-    return _reduce(losses, keep_losses)
+
+    def draw(rng, sign):
+        xi = rng.normal(sign * m_gap_half, 1.0)
+        return xi, xi
+
+    return _lockstep(
+        strategy, n_packets, replications, seed, orientation, force_initial, keep_losses,
+        draw, lambda income: (n_packets * m_gap_half - income) / root_n,
+    )

@@ -1,38 +1,27 @@
 """Expected loss of a fixed strategy on the invariant scale.
 
-Same backward sweep as the solver, but instead of the argmin the slice
-blends the two action losses with the strategy's probability of the first
-arm.  Pure probabilities (0 or 1) short-circuit through the corresponding
-branch, so evaluating the solver's own argmin table reproduces its Bayes
-risk bit for bit.
+The solver's backward sweep (dp.backward_sweep with the same Gaussian
+expectations), but instead of the argmin each slice blends the two action
+losses with the strategy's probability of the first arm.  Pure
+probabilities (0 or 1) short-circuit through the corresponding branch, so
+evaluating the solver's own argmin table reproduces its Bayes risk bit for
+bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    InternalError,
-    SymmetricPrior,
-    UGrid,
-    convolve_zero_padded,
-    gaussian_kernel,
-    loss_profile,
+from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
+from .dp import (
+    DpConfig,
+    StrategyTable,
+    backward_sweep,
+    gaussian_expectations,
+    solve_invariant,
 )
-from .dp import DpConfig, StrategyTable, ValueTable, assemble_bayes_risk, solve_invariant
-
-
-def _check_epsilon(epsilon: float) -> int:
-    if not (0.0 < epsilon <= 0.5):
-        raise ConfigurationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    n = round(1.0 / epsilon)
-    if abs(n * epsilon - 1.0) > 1e-9:
-        raise ConfigurationError(f"1/epsilon must be an integer, got 1/{epsilon}")
-    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +39,7 @@ class EvalStrategy:
     sigma1: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        P = _check_epsilon(self.epsilon)
+        P = packet_count(self.epsilon)
         want = (P + 1, P + 1, self.grid.n_points)
         if self.sigma1.shape != want:
             raise ConfigurationError(
@@ -87,7 +76,7 @@ class EvalStrategy:
     @classmethod
     def constant(cls, p: float, *, epsilon: float, grid: UGrid) -> "EvalStrategy":
         """Play arm 1 with the same probability p in every state."""
-        P = _check_epsilon(epsilon)
+        P = packet_count(epsilon)
         sigma = np.full((P + 1, P + 1, grid.n_points), float(p))
         return cls(epsilon=epsilon, grid=grid, sigma1=sigma)
 
@@ -98,7 +87,7 @@ class EvalStrategy:
         fn receives the full u-grid as an array and either a scalar or a
         matching array is accepted back.
         """
-        P = _check_epsilon(epsilon)
+        P = packet_count(epsilon)
         sigma = np.zeros((P + 1, P + 1, grid.n_points))
         for K in range(2, P):
             for k1 in range(K + 1):
@@ -117,33 +106,15 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
     """Normalized expected loss of the strategy under the given prior,
     with and without the forced turn-by-turn initial stage."""
     eps, grid = strategy.epsilon, strategy.grid
-    P = strategy.n_packets
-    u = grid.points
 
-    succ = np.zeros((P + 1, u.size))
-    for K in range(P - 1, 1, -1):
-        t = K * eps
-        kernels = [
-            gaussian_kernel(eps * (j * eps) ** 2 / (t * (t + eps)), grid)
-            for j in range(K + 1)
-        ]
-        cur = np.empty((K + 1, u.size))
-        for k1 in range(K + 1):
-            k2 = K - k1
-            g1 = loss_profile(prior, 1, u, k1 * eps, k2 * eps)
-            g2 = g1[::-1]
-            l1 = eps * g1 + convolve_zero_padded(succ[k1 + 1], kernels[k2])
-            l2 = eps * g2 + convolve_zero_padded(succ[k1], kernels[k1])
-            s = strategy.sigma1[k1, k2]
-            cur[k1] = np.where(s >= 1.0, l1, np.where(s <= 0.0, l2, s * l1 + (1.0 - s) * l2))
-        if np.isnan(cur).any():
-            raise InternalError(f"NaN in expected-loss slice at diagonal {K}")
-        succ = cur
+    def blend(K, l1, l2):
+        k1 = np.arange(K + 1)
+        s = strategy.sigma1[k1, K - k1]
+        return np.where(s >= 1.0, l1, np.where(s <= 0.0, l2, s * l1 + (1.0 - s) * l2))
 
-    table = ValueTable(
-        epsilon=eps, grid=grid, n_packets=P, prior=prior, slices={(1, 1): succ[1]}
+    _, total, no_initial = backward_sweep(
+        eps, strategy.n_packets, grid, prior, gaussian_expectations(eps, grid), blend
     )
-    total, no_initial = assemble_bayes_risk(table, prior)
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 
 

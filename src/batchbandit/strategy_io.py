@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior, UGrid
+from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
 from .dp import StrategyTable
 
 STRATEGY_FORMAT_VERSION = 1
@@ -29,7 +29,8 @@ class StrategyFormatError(ConfigurationError):
     """Malformed strategy file; the message carries line/field diagnostics."""
 
 
-def _atomic_write(path: Path, write_fn) -> None:
+def atomic_write(path: Path, write_fn) -> None:
+    """write_fn(tmp) fills a temp file next to path, which then replaces path."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         write_fn(tmp)
@@ -85,10 +86,10 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior | None = Non
         "tie_break": "prefer-action-1",
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
-    _atomic_write(
+    atomic_write(
         path, lambda tmp: np.savetxt(tmp, rows, fmt="%d", delimiter=",", header=_HEADER, comments="")
     )
-    _atomic_write(
+    atomic_write(
         _meta_path(path), lambda tmp: tmp.write_text(json.dumps(meta, indent=2) + "\n")
     )
 
@@ -153,9 +154,12 @@ def load_strategy(path) -> StrategyTable:
         grid = UGrid(u_max=float(meta["grid"]["u_max"]), du=float(meta["grid"]["du"]))
     except (KeyError, TypeError) as exc:
         raise StrategyFormatError(f"{_meta_path(path)}: bad grid spec: {exc}") from None
-    eps = float(meta["epsilon"])
-    P = int(meta["n_packets"])
-    if not (0.0 < eps <= 0.5) or round(1.0 / eps) != P or abs(P * eps - 1.0) > 1e-9:
+    try:
+        eps, P = float(meta["epsilon"]), int(meta["n_packets"])
+        n = packet_count(eps)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise StrategyFormatError(f"{_meta_path(path)}: {exc}") from None
+    if n != P:
         raise StrategyFormatError(
             f"{_meta_path(path)}: epsilon {eps} does not describe {P} packets"
         )

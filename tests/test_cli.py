@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from batchbandit import cli
 from batchbandit.cli import main
 from batchbandit.core import SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, solve_invariant
@@ -82,6 +83,45 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg)])
     assert rc == 2
     assert "foo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["simulate", "--strategy", "unused.csv"], {"t": "x"}),
+        (["solve"], {"epsilon": "x", "d": 1.0}),
+    ],
+)
+def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, argv, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert next(iter(doc)) in capsys.readouterr().err
+
+
+def test_solve_builds_the_action_table_only_for_strategy_out(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def spy(config, **kwargs):
+        seen.append(kwargs.get("keep_strategy", True))
+        return solve_invariant(config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_invariant", spy)
+    argv = ["solve", "--epsilon", "0.25", "--d", "1.0", "--u-max", "2.0", "--du", "0.05"]
+    run_json(capsys, argv)
+    assert main([*argv, "--strategy-out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [False, True]
+
+
+def test_unexpected_error_inside_the_solver_exits_1(monkeypatch, capsys):
+    def broken(config, **kwargs):
+        raise ValueError("corrupted lattice")
+
+    monkeypatch.setattr(cli, "solve_invariant", broken)
+    assert main(["solve", "--epsilon", "0.25", "--d", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" in err and "corrupted lattice" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_no_subcommand_exits_2(capsys):

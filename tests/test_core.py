@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 
 from batchbandit.core import (
     ConfigurationError,
-    DimensionalParams,
-    DimensionalState,
     InvariantState,
     SymmetricPrior,
     UGrid,
-    from_invariant,
     gaussian_kernel,
     loss_profile,
     one_step_loss,
-    to_invariant,
     transition_variance,
 )
 
@@ -227,48 +223,3 @@ class TestStates:
             InvariantState(u=0.0, t1=-0.1, t2=0.4)
         with pytest.raises(ValueError):
             InvariantState(u=math.nan, t1=0.5, t2=0.5)
-
-    def test_dimensional_params_validation(self):
-        p = DimensionalParams(m1=1.0, m2=1.0, C=0.5)
-        assert p.mid == pytest.approx(1.0)
-        assert p.half_gap == 0.0
-        with pytest.raises(ConfigurationError):
-            DimensionalParams(m1=2.0, m2=0.0, C=0.5)  # C < |m1 - m2| / 2
-
-    def test_dimensional_state_validation(self):
-        s = DimensionalState(x1=2.0, x2=0.5, n1=200, n2=100, horizon=5000, batch=100)
-        assert s.U == pytest.approx((2.0 * 100 - 0.5 * 200) / 300)
-        with pytest.raises(ValueError):
-            DimensionalState(x1=0.0, x2=0.0, n1=150, n2=100, horizon=5000, batch=100)
-        with pytest.raises(ValueError):
-            DimensionalState(x1=1.0, x2=0.0, n1=0, n2=100, horizon=5000, batch=100)
-
-    def test_round_trip_on_lattice(self):
-        s = DimensionalState(x1=12.5, x2=-3.0, n1=300, n2=200, horizon=5000, batch=100)
-        inv = to_invariant(s)
-        assert inv.t1 == pytest.approx(0.06)
-        assert inv.t2 == pytest.approx(0.04)
-        back = from_invariant(inv, horizon=5000, batch=100)
-        assert (back.n1, back.n2) == (300, 200)
-        assert back.U == pytest.approx(s.U, rel=1e-12)
-        # canonical representative keeps the sufficient statistic, not the split
-        assert back.x2 == 0.0
-        again = to_invariant(back)
-        assert again.u == pytest.approx(inv.u, rel=1e-12)
-
-    def test_from_invariant_rejects_off_lattice(self):
-        inv = InvariantState(u=0.1, t1=0.033, t2=0.04)
-        with pytest.raises(ValueError):
-            from_invariant(inv, horizon=5000, batch=100)
-
-    def test_from_invariant_unobserved_arm_needs_zero_u(self):
-        inv = InvariantState(u=0.5, t1=0.02, t2=0.0)
-        with pytest.raises(ValueError):
-            from_invariant(inv, horizon=5000, batch=100)
-        ok = from_invariant(InvariantState(u=0.0, t1=0.02, t2=0.0), horizon=5000, batch=100)
-        assert (ok.n1, ok.n2) == (100, 0)
-        assert ok.x1 == 0.0 and ok.x2 == 0.0
-
-    def test_zero_income_maps_to_zero_u(self):
-        s = DimensionalState(x1=0.0, x2=0.0, n1=100, n2=100, horizon=5000, batch=100)
-        assert to_invariant(s).u == 0.0

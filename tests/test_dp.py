@@ -1,7 +1,5 @@
 """Backward-recursion solver against an independent oracle and closed forms."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from batchbandit.dp import (
     DpConfig,
     ValueTable,
     assemble_bayes_risk,
-    extract_strategy,
-    solve_dimensional,
     solve_invariant,
 )
 
@@ -174,20 +170,6 @@ def test_forced_initial_actions():
     assert st.action_at(0, 1, -0.7) == 1
 
 
-def test_extract_strategy_reproduces_solver_actions():
-    cfg = DpConfig(0.2, SymmetricPrior.two_point(1.4), UGrid(2.0, 0.04))
-    out = solve_invariant(cfg, keep_values=True)
-    re = extract_strategy(out.value)
-    assert np.array_equal(re.actions, out.strategy.actions)
-
-
-def test_extract_strategy_needs_full_table():
-    cfg = DpConfig(0.2, SymmetricPrior.two_point(1.4), UGrid(2.0, 0.04))
-    out = solve_invariant(cfg, keep_values=False)
-    with pytest.raises(ValueError):
-        extract_strategy(out.value)
-
-
 def test_value_table_interpolation():
     cfg = DpConfig(0.25, SymmetricPrior.two_point(1.1), UGrid(2.0, 0.05))
     out = solve_invariant(cfg, keep_values=True)
@@ -210,32 +192,3 @@ def test_config_validation():
         DpConfig(0.0, prior)
     with pytest.raises(ConfigurationError):
         DpConfig(0.25, prior, UGrid(4.0, 2.0))  # grid cannot resolve any kernel
-
-
-# ---------------------------------------------------------------------------
-# Dimensional wrapper.
-# ---------------------------------------------------------------------------
-
-
-def test_dimensional_scaling_is_exact():
-    N = 50
-    d = 1.6
-    prior_v = SymmetricPrior.two_point(d / math.sqrt(N))
-    dim = solve_dimensional(N, 1, prior_v)
-    inv = solve_invariant(DpConfig(1.0 / N, SymmetricPrior.two_point(d)))
-    assert dim.bayes_risk == math.sqrt(N) * inv.bayes_risk
-    assert dim.bayes_risk == pytest.approx(4.596, abs=0.15)  # sqrt(50)*0.65
-
-
-def test_dimensional_pure_initial_closed_form():
-    # batch = horizon/2 leaves no decisions: risk is 2*M*v exactly
-    N, M, v = 50, 25, 0.3
-    dim = solve_dimensional(N, M, SymmetricPrior.two_point(v), grid=UGrid(2.0, 0.05))
-    assert dim.bayes_risk == pytest.approx(2.0 * M * v, rel=1e-12)
-
-
-def test_dimensional_validation():
-    with pytest.raises(ConfigurationError):
-        solve_dimensional(50, 7, SymmetricPrior.two_point(0.1))
-    with pytest.raises(ConfigurationError):
-        solve_dimensional(50, 50, SymmetricPrior.two_point(0.1))

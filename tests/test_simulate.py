@@ -43,6 +43,15 @@ def test_identical_seeds_reproduce_bitwise(table50):
     assert g1.normalized_loss_mean == g2.normalized_loss_mean
 
 
+def test_seeded_means_are_pinned(table50):
+    # values recorded before the two models shared one lockstep driver; any
+    # change in the order of random draws moves them
+    cfg = BatchTrialConfig(5000, 100, 0.5, 1.6, replications=3000, seed=11)
+    assert simulate_bernoulli(cfg, table50).normalized_loss_mean == 0.6746517818680364
+    g = simulate_gaussian(50, 1.6, table50, 3000, seed=11)
+    assert g.normalized_loss_mean == 0.6716062723495017
+
+
 def test_different_seeds_differ(table50):
     g1 = simulate_gaussian(50, 1.6, table50, 3000, seed=1)
     g2 = simulate_gaussian(50, 1.6, table50, 3000, seed=2)

@@ -12,8 +12,8 @@ def test_optimal_strategy_reproduces_bayes_risk():
     cfg = DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02))
     out = solve_invariant(cfg)
     ev = evaluate(EvalStrategy.from_table(out.strategy), cfg.prior)
-    assert ev.total_loss == pytest.approx(out.bayes_risk, abs=1e-9)
-    assert ev.loss_no_initial == pytest.approx(out.bayes_risk_no_initial, abs=1e-9)
+    assert ev.total_loss == out.bayes_risk
+    assert ev.loss_no_initial == out.bayes_risk_no_initial
 
 
 def test_always_first_arm_loses_exactly_d():
