@@ -5,11 +5,9 @@ prior search, strategy evaluation and Monte-Carlo validation."""
 from .core import (
     ConfigurationError,
     InternalError,
-    InvariantState,
     SymmetricPrior,
     UGrid,
     loss_profile,
-    one_step_loss,
     transition_variance,
 )
 from .dp import (
@@ -17,7 +15,6 @@ from .dp import (
     SolveOutput,
     StrategyTable,
     ValueTable,
-    assemble_bayes_risk,
     solve_invariant,
 )
 from .pde import PdeConfig, PdeSolution, solve_pde
@@ -56,7 +53,6 @@ __all__ = [
     "EvalResult",
     "EvalStrategy",
     "InternalError",
-    "InvariantState",
     "MultiAtomResult",
     "PdeConfig",
     "PdeSolution",
@@ -73,12 +69,10 @@ __all__ = [
     "TrialResult",
     "UGrid",
     "ValueTable",
-    "assemble_bayes_risk",
     "evaluate",
     "golden_section_max",
     "load_strategy",
     "loss_profile",
-    "one_step_loss",
     "refine",
     "risk_curve",
     "saddle_check",

@@ -1,13 +1,15 @@
 """Command-line surface.
 
-Subcommands wrap the solver pipelines and emit JSON summaries or CSV
-curves.  A flat JSON file passed as --config supplies any subset of a
-command's parameters; explicit flags override it and unknown keys are
-rejected.  All floats in outputs carry six significant digits; files are
-written after the computation finishes (temp file + rename), so failures
-leave nothing behind.  Exit codes: 0 success, 2 invalid configuration or
-input file (ConfigurationError), 1 anything else: a numerical failure or a
-bug.
+Each subcommand declares its parameters once as Param records; the parser,
+the legal --config keys, the config-file type check and the resolved values
+all come from there.  A value comes from its flag, else the flat JSON
+--config file (unknown keys and wrong types are rejected), else the declared
+default; an unset --u-max or --du takes the backend's library default
+(UGrid's for dp, PdeConfig's for pde).  Output floats carry six significant
+digits; files are written after the computation finishes (temp file +
+rename), so failures leave nothing behind.  Exit codes: 0 success, 2
+invalid configuration or input file (ConfigurationError), 1 anything else:
+a numerical failure or a bug.
 """
 
 from __future__ import annotations
@@ -16,19 +18,112 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior, UGrid
+from .core import ConfigurationError, SymmetricPrior
 from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
-from .search import refine, scan, search_multi_atom
+from .search import backend_grid, d_range, refine, scan, search_multi_atom
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
-from .strategy_eval import EvalStrategy, risk_curve
+from .strategy_eval import EvalStrategy, evaluate, risk_curve
 from .strategy_io import atomic_write, load_strategy, save_strategy
 
 _FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a subcommand: the flag --name (dashes for
+    underscores) and the config key name, both resolving to one value."""
+
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+
+    def accepts(self, value) -> bool:
+        """Whether a config-file value fits; JSON ints pass as floats, bools only as bools."""
+        kinds = (int, float) if self.type is float else self.type
+        ok = isinstance(value, kinds) and (self.type is bool or not isinstance(value, bool))
+        return ok and (self.choices is None or value in self.choices)
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[dict], dict | None]  # the JSON summary for --out, or None
+    help: str
+    params: tuple[Param, ...]
+    backend: str  # whose default grid fills --u-max/--du unless --backend says
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, help_: str, *params: Param, backend: str = "dp"):
+    def register(run):
+        COMMANDS[name] = Command(run, help_, params, backend)
+        return run
+
+    return register
+
+
+_EPSILON = Param("epsilon", float, required=True, help="batch fraction M/T")
+_D = Param("d", float, help="two-point prior gap")
+_PRIOR_FILE = Param("prior_file", help="JSON prior {'atoms': [[w, pi], ...]}")
+_GRID = (
+    Param("u_max", float, help="u-grid half-width (default: the backend's)"),
+    Param("du", float, help="u-grid spacing (default: the backend's)"),
+)
+_OUT = Param("out", help="summary JSON path (default: stdout)")
+
+
+def _load_json(path: Path, what: str):
+    if not path.exists():
+        raise ConfigurationError(f"no such {what} file: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+
+
+def resolve(command: Command, args: argparse.Namespace) -> dict:
+    """Each parameter from its flag, else the --config file, else its
+    declared default; u_max and du become one UGrid under "grid"."""
+    file_cfg = {}
+    if args.config:
+        path = Path(args.config)
+        file_cfg = _load_json(path, "config")
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError(f"{path}: config must be a JSON object")
+        declared = {p.name: p for p in command.params}
+        unknown = sorted(set(file_cfg) - set(declared))
+        if unknown:
+            raise ConfigurationError(f"{path}: unknown config keys: {unknown}")
+        for key, value in file_cfg.items():  # null counts as not given
+            p = declared[key]
+            if value is not None and not p.accepts(value):
+                raise ConfigurationError(
+                    f"{path}: {key} must be a valid {p.type.__name__}, got {value!r}"
+                )
+    cfg = {}
+    for p in command.params:
+        value = getattr(args, p.name)
+        if value is None:
+            value = file_cfg.get(p.name)
+        cfg[p.name] = p.default if value is None else value
+    missing = [p.name for p in command.params if p.required and cfg[p.name] is None]
+    if missing:
+        raise ConfigurationError(f"missing required parameter(s): {missing}")
+    if "du" in cfg:
+        backend = cfg.get("backend", command.backend)
+        cfg["grid"] = backend_grid(backend, cfg.pop("u_max"), cfg.pop("du"))
+    return cfg
 
 
 def _f6(x: float) -> str:
@@ -40,69 +135,11 @@ def _j6(x: float) -> float:
     return float(_f6(x))
 
 
-def _emit(summary: dict, out: str | None) -> None:
-    text = json.dumps(summary, indent=2) + "\n"
-    if out:
-        atomic_write(Path(out), lambda tmp: tmp.write_text(text))
-    else:
-        sys.stdout.write(text)
-
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer resolved parameters: flag > config file > default."""
-    file_cfg = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigurationError(f"no such config file: {path}")
-        try:
-            file_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigurationError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
-        if unknown:
-            raise ConfigurationError(f"{args.config}: unknown config keys: {unknown}")
-        for key, value in file_cfg.items():
-            _check_file_value(path, key, value, args.options[key])
-    merged = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key)
-        merged[key] = value if value is not None else default
-    return merged
-
-
-def _check_file_value(path: Path, key: str, value, action: argparse.Action) -> None:
-    """Hold a config-file value to the type and choices of its flag; null
-    counts as not given and JSON integers pass as floats."""
-    if value is None:
-        return
-    kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type or str
-    ok = isinstance(value, (int, float) if kind is float else kind)
-    ok = ok and (kind is bool or not isinstance(value, bool))
-    if not ok or (action.choices is not None and value not in action.choices):
-        raise ConfigurationError(f"{path}: {key} must be a valid {kind.__name__}, got {value!r}")
-
-
-def _require(cfg: dict, *keys: str) -> None:
-    missing = [k for k in keys if cfg[k] is None]
-    if missing:
-        raise ConfigurationError(f"missing required parameter(s): {missing}")
-
-
 def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
     """Prior from --d or --prior-file (atoms [[w, pi], ...] plus optional c)."""
     if cfg.get("prior_file"):
         path = Path(cfg["prior_file"])
-        if not path.exists():
-            raise ConfigurationError(f"no such prior file: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+        doc = _load_json(path, "prior")
         try:
             atoms = tuple((float(w), float(p)) for w, p in doc["atoms"])
             c = doc.get("c")
@@ -117,120 +154,89 @@ def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
     return SymmetricPrior.two_point(cfg["d"]), cfg["d"]
 
 
-def _cmd_solve(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(
-            epsilon=None, d=None, prior_file=None, u_max=4.0, du=0.01,
-            out=None, strategy_out=None,
-        ),
-    )
-    _require(cfg, "epsilon")
+def _solve_and_save(cfg: dict, prior: SymmetricPrior, strategy_out: str | None):
+    """One dp solve; the action table is built and saved only for strategy_out."""
+    config = DpConfig(cfg["epsilon"], prior, cfg["grid"])
+    out = solve_invariant(config, keep_strategy=bool(strategy_out))
+    if strategy_out:
+        save_strategy(out.strategy, strategy_out, prior)
+    return out
+
+
+@_command(
+    "solve", "backward recursion at a fixed batch fraction",
+    _EPSILON, _D, _PRIOR_FILE, *_GRID, _OUT,
+    Param("strategy_out", help="also export the strategy table CSV"),
+)
+def _cmd_solve(cfg: dict) -> dict:
     prior, d = _resolve_prior(cfg)
-    out = solve_invariant(
-        DpConfig(cfg["epsilon"], prior, UGrid(cfg["u_max"], cfg["du"])),
-        keep_strategy=bool(cfg["strategy_out"]),
-    )
-    if cfg["strategy_out"]:
-        save_strategy(out.strategy, cfg["strategy_out"], prior)
-    _emit(
-        {
-            "epsilon": cfg["epsilon"],
-            "d": d,
-            "bayes_risk": _j6(out.bayes_risk),
-            "bayes_risk_no_initial": _j6(out.bayes_risk_no_initial),
-        },
-        cfg["out"],
-    )
-    return 0
+    out = _solve_and_save(cfg, prior, cfg["strategy_out"])
+    return {
+        "epsilon": cfg["epsilon"],
+        "d": d,
+        "bayes_risk": _j6(out.bayes_risk),
+        "bayes_risk_no_initial": _j6(out.bayes_risk_no_initial),
+    }
 
 
-def _cmd_figure1(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(
-            epsilon=0.02, d_min=0.2, d_max=20.0, step=0.2, freeze_d=None,
-            u_max=4.0, du=0.01, out=None,
-        ),
-    )
-    _require(cfg, "out")
-    if not (0.0 < cfg["d_min"] <= cfg["d_max"] and cfg["step"] > 0.0):
-        raise ConfigurationError(
-            f"bad d range [{cfg['d_min']}, {cfg['d_max']}] step {cfg['step']}"
-        )
-    grid = UGrid(cfg["u_max"], cfg["du"])
-    eps = cfg["epsilon"]
-    ds = [cfg["d_min"]]
-    while ds[-1] + cfg["step"] <= cfg["d_max"] + 1e-12:
-        ds.append(ds[-1] + cfg["step"])
-
-    if cfg["freeze_d"] is not None:
-        d_star = cfg["freeze_d"]
-    else:
-        curve = scan(cfg["d_min"], cfg["d_max"], cfg["step"], backend="dp", epsilon=eps, grid=grid)
-        d_star = curve.best().d
-    frozen = EvalStrategy.from_table(
-        solve_invariant(DpConfig(eps, SymmetricPrior.two_point(d_star), grid)).strategy
-    )
-    rows = risk_curve(ds, eps, grid=grid, strategy=frozen)
+@_command(
+    "figure1", "risk and frozen-strategy loss curves as CSV",
+    Param("epsilon", float, 0.02), Param("d_min", float, 0.2),
+    Param("d_max", float, 20.0), Param("step", float, 0.2),
+    Param("freeze_d", float, help="freeze the strategy at this d (default: the worst d)"),
+    *_GRID, Param("out", required=True, help="CSV output path"),
+)
+def _cmd_figure1(cfg: dict) -> None:
+    eps, grid = cfg["epsilon"], cfg["grid"]
+    rows = risk_curve(d_range(cfg["d_min"], cfg["d_max"], cfg["step"]), eps, grid=grid)
+    d_star = cfg["freeze_d"]
+    if d_star is None:
+        d_star = max(rows, key=lambda r: r.bayes_risk).d  # first maximum, as scan's best()
+    table = solve_invariant(DpConfig(eps, SymmetricPrior.two_point(d_star), grid)).strategy
+    frozen = EvalStrategy.from_table(table)
     lines = [_FIGURE1_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _f6(x)
-                for x in (
-                    r.d, r.bayes_risk, r.expected_loss,
-                    r.bayes_risk_no_init, r.expected_loss_no_init,
-                )
-            )
-        )
+        ev = evaluate(frozen, SymmetricPrior.two_point(r.d))
+        row = (r.d, r.bayes_risk, ev.total_loss, r.bayes_risk_no_init, ev.loss_no_initial)
+        lines.append(",".join(_f6(x) for x in row))
     text = "\n".join(lines) + "\n"
     atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
-    return 0
 
 
-def _cmd_pde(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(epsilon=0.001, d=None, prior_file=None, du=0.032, u_max=2.3, out=None),
-    )
+@_command(
+    "pde", "diffusion-limit risk",
+    Param("epsilon", float, 0.001), _D, _PRIOR_FILE, *_GRID, _OUT, backend="pde",
+)
+def _cmd_pde(cfg: dict) -> dict:
     prior, d = _resolve_prior(cfg)
-    sol = solve_pde(PdeConfig(cfg["epsilon"], prior, du=cfg["du"], u_max=cfg["u_max"]))
-    _emit(
-        {
-            "epsilon": cfg["epsilon"],
-            "d": d,
-            "du": cfg["du"],
-            "limit_risk": _j6(sol.limit_risk),
-            "limit_risk_no_initial": _j6(sol.limit_risk_no_initial),
-        },
-        cfg["out"],
-    )
-    return 0
+    grid = cfg["grid"]
+    sol = solve_pde(PdeConfig(cfg["epsilon"], prior, du=grid.du, u_max=grid.u_max))
+    return {
+        "epsilon": cfg["epsilon"],
+        "d": d,
+        "du": grid.du,
+        "limit_risk": _j6(sol.limit_risk),
+        "limit_risk_no_initial": _j6(sol.limit_risk_no_initial),
+    }
 
 
-def _cmd_search(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(
-            backend="dp", epsilon=None, d_min=0.5, d_max=2.5, step=0.25,
-            tolerance=0.01, u_max=None, du=None, multi_atom=None, out=None,
-        ),
-    )
-    _require(cfg, "epsilon")
-    grid = None
-    if cfg["u_max"] is not None or cfg["du"] is not None:
-        if cfg["u_max"] is None or cfg["du"] is None:
-            raise ConfigurationError("--u-max and --du must be given together")
-        grid = UGrid(cfg["u_max"], cfg["du"])
-    curve = scan(
-        cfg["d_min"], cfg["d_max"], cfg["step"],
-        backend=cfg["backend"], epsilon=cfg["epsilon"], grid=grid,
-    )
+@_command(
+    "search", "worst-case gap scan and refinement",
+    Param("backend", default="dp", choices=("dp", "pde")), _EPSILON,
+    Param("d_min", float, 0.5), Param("d_max", float, 2.5), Param("step", float, 0.25),
+    Param("tolerance", float, 0.01, help="width at which refinement stops"), *_GRID,
+    Param("multi_atom", int, help="experimental: coordinate ascent over this many atom pairs"),
+    _OUT,
+)
+def _cmd_search(cfg: dict) -> dict:
+    backend, eps, grid = cfg["backend"], cfg["epsilon"], cfg["grid"]
+    if cfg["multi_atom"] and backend != "dp":
+        raise ConfigurationError("--multi-atom runs on the dp backend only")
+    curve = scan(cfg["d_min"], cfg["d_max"], cfg["step"], backend=backend, epsilon=eps, grid=grid)
     res = refine(curve, cfg["tolerance"])
     summary = {
-        "backend": cfg["backend"],
-        "epsilon": cfg["epsilon"],
+        "backend": backend,
+        "epsilon": eps,
         "d_star": _j6(res.d_star),
         "risk_star": _j6(res.risk_star),
         "boundary": res.boundary,
@@ -238,68 +244,52 @@ def _cmd_search(args) -> int:
         "curve": [{"d": _j6(p.d), "risk": _j6(p.risk)} for p in curve.points],
     }
     if cfg["multi_atom"]:
-        if cfg["backend"] != "dp":
-            raise ConfigurationError("--multi-atom runs on the dp backend only")
-        ma = search_multi_atom(cfg["epsilon"], cfg["multi_atom"], grid=grid)
+        ma = search_multi_atom(eps, cfg["multi_atom"], grid=grid)
         summary["multi_atom"] = {
             "risk": _j6(ma.risk),
             "atoms": [[_j6(w), _j6(p)] for w, p in ma.prior.atoms],
             "evaluations": ma.evaluations,
         }
-    _emit(summary, cfg["out"])
-    return 0
+    return summary
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(
-            t=5000, m=100, p=0.5, d=1.6, strategy=None, reps=10000, seed=0,
-            model="bernoulli", per_item=False, orientation=None, out=None,
-        ),
-    )
-    _require(cfg, "strategy")
+@_command(
+    "simulate", "Monte-Carlo trial driven by a strategy file",
+    Param("t", int, 5000, help="total items"), Param("m", int, 100, help="packet size"),
+    Param("p", float, 0.5, help="baseline success probability"), Param("d", float, 1.6),
+    Param("strategy", required=True, help="CSV produced by export-strategy"),
+    Param("reps", int, 10000), Param("seed", int, 0),
+    Param("model", default="bernoulli", choices=("bernoulli", "gaussian")),
+    Param("per_item", bool, False), Param("orientation", int, choices=(-1, 1)), _OUT,
+)
+def _cmd_simulate(cfg: dict) -> dict:
     table = load_strategy(cfg["strategy"])
     if cfg["model"] == "bernoulli":
         trial = BatchTrialConfig(
-            n_items=cfg["t"], batch_size=cfg["m"], p=cfg["p"], d=cfg["d"],
-            replications=cfg["reps"], seed=cfg["seed"],
+            cfg["t"], cfg["m"], cfg["p"], cfg["d"], cfg["reps"], cfg["seed"],
             per_item=cfg["per_item"], orientation=cfg["orientation"],
         )
         res = simulate_bernoulli(trial, table)
-    elif cfg["model"] == "gaussian":
+    else:
         res = simulate_gaussian(
             table.n_packets, cfg["d"], table, cfg["reps"], cfg["seed"],
             orientation=cfg["orientation"],
         )
-    else:
-        raise ConfigurationError(f"model must be 'bernoulli' or 'gaussian', got {cfg['model']!r}")
-    _emit(
-        {
-            "model": cfg["model"],
-            "t": cfg["t"],
-            "m": cfg["m"],
-            "p": cfg["p"],
-            "d": cfg["d"],
-            "replications": res.replications,
-            "normalized_loss_mean": _j6(res.normalized_loss_mean),
-            "standard_error": _j6(res.standard_error),
-        },
-        cfg["out"],
-    )
-    return 0
+    return {
+        **{k: cfg[k] for k in ("model", "t", "m", "p", "d")},
+        "replications": res.replications,
+        "normalized_loss_mean": _j6(res.normalized_loss_mean),
+        "standard_error": _j6(res.standard_error),
+    }
 
 
-def _cmd_export_strategy(args) -> int:
-    cfg = _merge_config(
-        args,
-        dict(epsilon=None, d=None, prior_file=None, u_max=4.0, du=0.01, out=None),
-    )
-    _require(cfg, "epsilon", "out")
+@_command(
+    "export-strategy", "solve and write the strategy table CSV",
+    _EPSILON, _D, _PRIOR_FILE, *_GRID, Param("out", required=True, help="strategy CSV path"),
+)
+def _cmd_export_strategy(cfg: dict) -> None:
     prior, _ = _resolve_prior(cfg)
-    out = solve_invariant(DpConfig(cfg["epsilon"], prior, UGrid(cfg["u_max"], cfg["du"])))
-    save_strategy(out.strategy, cfg["out"], prior)
-    return 0
+    _solve_and_save(cfg, prior, cfg["out"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,86 +298,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimax strategies for the Gaussian two-armed bandit under batch processing",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, func, help_):
-        p = sub.add_parser(name, help=help_)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat JSON file with parameters; flags override")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("solve", _cmd_solve, "backward recursion at a fixed batch fraction")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d", type=float, help="two-point prior gap")
-    p.add_argument("--prior-file", help="JSON prior {'atoms': [[w, pi], ...]}")
-    p.add_argument("--u-max", type=float)
-    p.add_argument("--du", type=float)
-    p.add_argument("--out", help="summary JSON path (default: stdout)")
-    p.add_argument("--strategy-out", help="also export the strategy table CSV")
-
-    p = add("figure1", _cmd_figure1, "risk and frozen-strategy loss curves as CSV")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d-min", type=float)
-    p.add_argument("--d-max", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--freeze-d", type=float, help="freeze the strategy at this d (default: scanned worst)")
-    p.add_argument("--u-max", type=float)
-    p.add_argument("--du", type=float)
-    p.add_argument("--out", help="CSV output path")
-
-    p = add("pde", _cmd_pde, "diffusion-limit risk")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--prior-file")
-    p.add_argument("--du", type=float)
-    p.add_argument("--u-max", type=float)
-    p.add_argument("--out")
-
-    p = add("search", _cmd_search, "worst-case gap scan and refinement")
-    p.add_argument("--backend", choices=("dp", "pde"))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d-min", type=float)
-    p.add_argument("--d-max", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--u-max", type=float)
-    p.add_argument("--du", type=float)
-    p.add_argument("--multi-atom", type=int, help="experimental: coordinate ascent over this many atom pairs")
-    p.add_argument("--out")
-
-    p = add("simulate", _cmd_simulate, "Monte-Carlo trial driven by a strategy file")
-    p.add_argument("--t", type=int, help="total items")
-    p.add_argument("--m", type=int, help="packet size")
-    p.add_argument("--p", type=float, help="baseline success probability")
-    p.add_argument("--d", type=float)
-    p.add_argument("--strategy", help="CSV produced by export-strategy")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--model", choices=("bernoulli", "gaussian"))
-    p.add_argument("--per-item", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--orientation", type=int, choices=(-1, 1))
-    p.add_argument("--out")
-
-    p = add("export-strategy", _cmd_export_strategy, "solve and write the strategy table CSV")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--prior-file")
-    p.add_argument("--u-max", type=float)
-    p.add_argument("--du", type=float)
-    p.add_argument("--out")
-
-    for p in sub.choices.values():
-        p.set_defaults(options={a.dest: a for a in p._actions})
+        for param in command.params:
+            flag = "--" + param.name.replace("_", "-")
+            if param.type is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=param.help)
+            else:
+                p.add_argument(flag, type=param.type, choices=param.choices, help=param.help)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 2
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = resolve(command, args)
+        summary = command.run(cfg)
+        if summary is not None:
+            text = json.dumps(summary, indent=2) + "\n"
+            if cfg["out"]:
+                atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
+            else:
+                sys.stdout.write(text)
+        return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

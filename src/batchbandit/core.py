@@ -132,23 +132,6 @@ class UGrid:
         return idx
 
 
-@dataclass(frozen=True)
-class InvariantState:
-    """(u, t1, t2) on the invariant scale; t_l is the processed fraction."""
-
-    u: float
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.u):
-            raise ValueError("u must be finite")
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ValueError("processed fractions must be nonnegative")
-        if self.t1 + self.t2 > 1.0 + 1e-12:
-            raise ValueError(f"t1 + t2 = {self.t1 + self.t2} exceeds the horizon")
-
-
 def packet_count(epsilon: float) -> int:
     """Number of packets 1/epsilon of a batch fraction in (0, 0.5]; anything
     else, a non-integer 1/epsilon included, is a ConfigurationError."""
@@ -184,11 +167,6 @@ def loss_profile(prior: SymmetricPrior, ell: int, u, t1, t2) -> np.ndarray:
     for w, p in prior.atoms:
         out += (p * w) * np.exp(np.minimum(sign * w * u - 2.0 * w * w * tau, EXP_CLIP))
     return out
-
-
-def one_step_loss(prior: SymmetricPrior, ell: int, state: InvariantState) -> float:
-    """Scalar one-step loss of playing action ell in an invariant state."""
-    return float(loss_profile(prior, ell, np.array([state.u]), state.t1, state.t2)[0])
 
 
 def transition_variance(epsilon: float, t1: float, t2: float, action: int) -> float:

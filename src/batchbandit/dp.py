@@ -89,13 +89,6 @@ class ValueTable:
     prior: SymmetricPrior
     slices: dict[tuple[int, int], np.ndarray]
 
-    def value_at(self, u: float, k1: int, k2: int) -> float:
-        """Linear interpolation in u; reads beyond +-u_max return 0."""
-        row = self.slices.get((k1, k2))
-        if row is None:
-            raise ValueError(f"value table does not retain the slice ({k1}, {k2})")
-        return float(np.interp(u, self.grid.points, row, left=0.0, right=0.0))
-
 
 @dataclass
 class StrategyTable:
@@ -103,26 +96,29 @@ class StrategyTable:
 
     actions[k1, k2, i] is 1 or 2 (0 marks states outside the lattice).
     Value ties resolve to action 1.  The two initial batches are forced
-    turn-by-turn: arm 1 first, then the unplayed arm.
+    turn-by-turn: arm 1 first, then the unplayed arm.  Construction checks
+    the lattice shape and that every decision state is defined; n_packets
+    follows from epsilon.
     """
 
     epsilon: float
     grid: UGrid
-    n_packets: int
     actions: np.ndarray
+    n_packets: int = field(init=False)
 
-    def action_at(self, k1: int, k2: int, u: float) -> int:
-        n = k1 + k2
-        if n == 0:
-            return 1
-        if n == 1:
-            return 2 if k2 == 0 else 1
-        if not (2 <= n <= self.n_packets - 1):
-            raise ValueError(f"({k1}, {k2}) is not a decision state")
-        a = int(self.actions[k1, k2, self.grid.nearest_index(u)])
-        if a == 0:
-            raise ValueError(f"strategy is undefined at state ({k1}, {k2})")
-        return a
+    def __post_init__(self):
+        P = self.n_packets = packet_count(self.epsilon)
+        want = (P + 1, P + 1, self.grid.n_points)
+        if self.actions.shape != want:
+            raise ConfigurationError(
+                f"actions have shape {self.actions.shape}, the lattice needs {want}"
+            )
+        for K in range(2, P):
+            k1 = np.arange(K + 1)
+            undefined = (self.actions[k1, K - k1] == 0).any(axis=1)
+            if undefined.any():
+                i = int(np.argmax(undefined))
+                raise ConfigurationError(f"strategy is undefined at state ({i}, {K - i})")
 
 
 @dataclass
@@ -220,11 +216,7 @@ def solve_invariant(
         eps, P, grid, prior, gaussian_expectations(eps, grid), argmin, keep_values=keep_values
     )
     value = ValueTable(epsilon=eps, grid=grid, n_packets=P, prior=prior, slices=slices)
-    strategy = (
-        StrategyTable(epsilon=eps, grid=grid, n_packets=P, actions=actions)
-        if keep_strategy
-        else None
-    )
+    strategy = StrategyTable(epsilon=eps, grid=grid, actions=actions) if keep_strategy else None
     return SolveOutput(
         value=value, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
     )
@@ -239,12 +231,3 @@ def _assemble(
         raise InternalError(f"assembled risk is not a nonnegative number: {total}")
     return total, no_initial
 
-
-def assemble_bayes_risk(value: ValueTable, prior: SymmetricPrior) -> tuple[float, float]:
-    """(total, no_initial): quadrature of the (eps, eps) slice against the
-    variance-eps/2 Gaussian, plus the closed-form turn-by-turn term
-    2*eps*sum_i pi_i w_i for the total."""
-    row = value.slices.get((1, 1))
-    if row is None:
-        raise ValueError("value table must contain the slice (1, 1)")
-    return _assemble(row, value.grid, value.epsilon, prior)

@@ -26,7 +26,12 @@ from .dp import ValueTable, backward_sweep
 
 @dataclass(frozen=True)
 class PdeConfig:
-    """Scheme configuration; defaults resolve the limit risk to about 1e-2."""
+    """Scheme configuration.
+
+    The du and u_max defaults are the scheme's default grid, which search
+    and the CLI read from here: it resolves the limit risk to about 1e-2 and
+    keeps the scheme monotone down to eps = 0.001.
+    """
 
     epsilon: float
     prior: SymmetricPrior

@@ -11,7 +11,7 @@ ascent is exposed as an experimental probe of the two-point conjecture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +22,25 @@ from .strategy_eval import EvalStrategy, evaluate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-_DEFAULT_GRIDS = {"dp": UGrid(), "pde": UGrid(2.3, 0.032)}
+
+def backend_grid(backend: str, u_max: float | None = None, du: float | None = None) -> UGrid:
+    """The u-grid a backend runs on: u_max and du where given, otherwise the
+    library default (UGrid's for dp, PdeConfig's for pde)."""
+    default = PdeConfig if backend == "pde" else UGrid
+    return UGrid(default.u_max if u_max is None else u_max, default.du if du is None else du)
 
 
 def _risk_fn(backend: str, epsilon: float, grid: UGrid):
-    """Bayes-risk evaluator d -> risk with memoized calls, so refinement
-    reuses the scan's endpoints bit for bit."""
-    if backend not in ("dp", "pde"):
-        raise ConfigurationError(f"backend must be 'dp' or 'pde', got {backend!r}")
-    memo: dict[float, float] = {}
-
-    def risk(d: float) -> float:
-        d = float(d)
-        if d not in memo:
-            prior = SymmetricPrior.two_point(d)
-            if backend == "dp":
-                out = solve_invariant(DpConfig(epsilon, prior, grid), keep_strategy=False)
-                memo[d] = out.bayes_risk
-            else:
-                cfg = PdeConfig(epsilon, prior, du=grid.du, u_max=grid.u_max)
-                memo[d] = solve_pde(cfg).limit_risk
-        return memo[d]
-
-    return risk
+    """Bayes-risk evaluator d -> risk on the given backend and grid."""
+    if backend == "dp":
+        return lambda d: solve_invariant(
+            DpConfig(epsilon, SymmetricPrior.two_point(d), grid), keep_strategy=False
+        ).bayes_risk
+    if backend == "pde":
+        return lambda d: solve_pde(
+            PdeConfig(epsilon, SymmetricPrior.two_point(d), du=grid.du, u_max=grid.u_max)
+        ).limit_risk
+    raise ConfigurationError(f"backend must be 'dp' or 'pde', got {backend!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,21 @@ class ScanCurve:
         return self.points[self.best_index()]
 
 
+def d_range(d_min: float, d_max: float, step: float) -> list[float]:
+    """Gaps d_min, d_min + step, ... up to d_max, with d_max appended when the
+    step does not reach it exactly."""
+    if not (0.0 < d_min <= d_max):
+        raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
+    if d_min < d_max and not (step > 0.0):
+        raise ConfigurationError(f"step must be positive, got {step}")
+    ds = [d_min]
+    while ds[-1] + step <= d_max + 1e-12 and d_min < d_max:
+        ds.append(ds[-1] + step)
+    if ds[-1] < d_max - 1e-12:
+        ds.append(d_max)
+    return ds
+
+
 def scan(
     d_min: float,
     d_max: float,
@@ -84,18 +95,11 @@ def scan(
     epsilon: float,
     grid: UGrid | None = None,
 ) -> ScanCurve:
-    """Evaluate the Bayes risk on the closed d-range with the given step."""
-    if not (0.0 < d_min <= d_max):
-        raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
-    if d_min < d_max and not (step > 0.0):
-        raise ConfigurationError(f"step must be positive, got {step}")
-    g = grid if grid is not None else _DEFAULT_GRIDS.get(backend)
+    """Evaluate the Bayes risk on the closed d-range with the given step;
+    grid defaults to the backend's (see backend_grid)."""
+    ds = d_range(d_min, d_max, step)
+    g = grid if grid is not None else backend_grid(backend)
     risk = _risk_fn(backend, epsilon, g)
-    ds = [d_min]
-    while ds[-1] + step <= d_max + 1e-12 and d_min < d_max:
-        ds.append(ds[-1] + step)
-    if ds[-1] < d_max - 1e-12:
-        ds.append(d_max)
     points = tuple(ScanPoint(d=d, risk=risk(d)) for d in ds)
     return ScanCurve(backend=backend, epsilon=epsilon, grid=g, points=points)
 

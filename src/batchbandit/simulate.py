@@ -127,6 +127,10 @@ def _lockstep(
         raise ConfigurationError(
             f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
         )
+    # the table checks its decision states; without the forced start the
+    # trial also reads the states before two packets
+    if not force_initial and not strategy.actions[(0, 1, 0), (0, 0, 1)].all():
+        raise ConfigurationError("strategy is undefined at a state before two packets")
     root_n = math.sqrt(n_packets)
     losses = np.empty(replications)
     offset = 0
@@ -148,12 +152,7 @@ def _lockstep(
                 on1 = np.full(n, step == 0)
             else:
                 u = (X1 * k2 - X2 * k1) / (step * root_n) if step else np.zeros(n)
-                a = strategy.actions[k1, k2, strategy.grid.nearest_index(u)]
-                if (a == 0).any():
-                    raise ConfigurationError(
-                        f"strategy table is undefined at a state reached in step {step}"
-                    )
-                on1 = a == 1
+                on1 = strategy.actions[k1, k2, strategy.grid.nearest_index(u)] == 1
             xi, reward = draw(rng, np.where(on1, v, -v))
             X1 += np.where(on1, xi, 0.0)
             X2 += np.where(on1, 0.0, xi)

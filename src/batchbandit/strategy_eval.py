@@ -61,12 +61,6 @@ class EvalStrategy:
     @classmethod
     def from_table(cls, table: StrategyTable) -> "EvalStrategy":
         """Deterministic strategy from a solver action table."""
-        for K in range(2, table.n_packets):
-            for k1 in range(K + 1):
-                if (table.actions[k1, K - k1] == 0).any():
-                    raise ConfigurationError(
-                        f"action table is undefined at state ({k1}, {K - k1})"
-                    )
         return cls(
             epsilon=table.epsilon,
             grid=table.grid,

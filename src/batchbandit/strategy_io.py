@@ -60,18 +60,13 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior | None = Non
     blocks = []
     for K in range(2, P):
         for k1 in range(K + 1):
-            a = table.actions[k1, K - k1]
-            if (a == 0).any():
-                raise ConfigurationError(
-                    f"cannot export: strategy undefined at state ({k1}, {K - k1})"
-                )
             blocks.append(
                 np.column_stack(
                     [
                         np.full(n_u, k1, dtype=np.int64),
                         np.full(n_u, K - k1, dtype=np.int64),
                         np.arange(n_u, dtype=np.int64),
-                        a.astype(np.int64),
+                        table.actions[k1, K - k1].astype(np.int64),
                     ]
                 )
             )
@@ -209,4 +204,4 @@ def load_strategy(path) -> StrategyTable:
 
     actions = np.zeros((P + 1, P + 1, n_u), dtype=np.int8)
     actions[k1, k2, iu] = act.astype(np.int8)
-    return StrategyTable(epsilon=eps, grid=grid, n_packets=P, actions=actions)
+    return StrategyTable(epsilon=eps, grid=grid, actions=actions)

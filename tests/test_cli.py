@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from batchbandit import cli
+from batchbandit import cli, search, strategy_eval
 from batchbandit.cli import main
-from batchbandit.core import SymmetricPrior, UGrid
+from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from batchbandit.strategy_io import load_strategy
@@ -252,3 +252,85 @@ def test_search_multi_atom_needs_dp(capsys):
     rc = main(["search", "--backend", "pde", "--epsilon", "0.01",
                "--multi-atom", "2"])
     assert rc == 2
+
+
+def test_search_fills_a_half_given_grid_from_the_backend_default(capsys):
+    doc = run_json(capsys, ["search", "--epsilon", "0.25", "--d-min", "1.0", "--d-max", "1.0",
+                            "--du", "0.05"])
+    direct = solve_invariant(
+        DpConfig(0.25, SymmetricPrior.two_point(1.0), UGrid(4.0, 0.05)), keep_strategy=False
+    )
+    assert doc["risk_star"] == pytest.approx(direct.bayes_risk, rel=1e-5)
+
+
+@pytest.mark.parametrize("freeze", [[], ["--freeze-d", "1.2"]])
+def test_figure1_solves_each_d_once(tmp_path, monkeypatch, freeze):
+    solves = []
+
+    def spy(config, **kwargs):
+        solves.append(config.prior.atoms)
+        return solve_invariant(config, **kwargs)
+
+    for module in (cli, search, strategy_eval):
+        monkeypatch.setattr(module, "solve_invariant", spy)
+    argv = ["figure1", "--epsilon", "0.25", "--d-min", "0.5", "--d-max", "2.5", "--step", "0.5",
+            "--u-max", "2.0", "--du", "0.05", "--out", str(tmp_path / "fig.csv"), *freeze]
+    assert main(argv) == 0
+    assert len((tmp_path / "fig.csv").read_text().splitlines()) == 1 + 5
+    assert len(solves) == 5 + 1  # one Bayes solve per d, one for the frozen strategy
+
+
+def _sample(param):
+    """A legal value for the parameter that differs from its default."""
+    if param.choices:
+        return param.choices[-1]
+    return {bool: True, int: 3, float: 0.375, str: "x.json"}[param.type]
+
+
+def _flag(param, value):
+    flag = "--" + param.name.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+DECLARED = [(name, p) for name, command in cli.COMMANDS.items() for p in command.params]
+
+
+@pytest.mark.parametrize("name, param", DECLARED, ids=[f"{n}-{p.name}" for n, p in DECLARED])
+def test_every_parameter_resolves_alike_from_flag_and_config(tmp_path, name, param):
+    command = cli.COMMANDS[name]
+    base = [tok for p in command.params if p.required and p is not param
+            for tok in _flag(p, _sample(p))]
+    value = _sample(param)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({param.name: value}))
+
+    def resolve(*argv):
+        return cli.resolve(command, cli.build_parser().parse_args([name, *base, *argv]))
+
+    from_flag = resolve(*_flag(param, value))
+    assert resolve("--config", str(config)) == from_flag
+    if param.required:
+        with pytest.raises(ConfigurationError, match=param.name):
+            resolve()
+    else:
+        assert resolve() != from_flag
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["solve", "--epsilon", "0.1"], UGrid(4.0, 0.01)),
+        (["figure1", "--out", "x.csv"], UGrid(4.0, 0.01)),
+        (["export-strategy", "--epsilon", "0.1", "--out", "x.csv"], UGrid(4.0, 0.01)),
+        (["pde"], UGrid(2.3, 0.032)),
+        (["search", "--epsilon", "0.1"], UGrid(4.0, 0.01)),
+        (["search", "--epsilon", "0.1", "--backend", "pde"], UGrid(2.3, 0.032)),
+        # one half given: the other half still comes from the backend
+        (["search", "--epsilon", "0.1", "--backend", "pde", "--du", "0.05"], UGrid(2.3, 0.05)),
+        (["pde", "--u-max", "3.0"], UGrid(3.0, 0.032)),
+        (["solve", "--epsilon", "0.1", "--du", "0.05"], UGrid(4.0, 0.05)),
+    ],
+)
+def test_unset_grid_takes_the_backend_default(argv, grid):
+    args = cli.build_parser().parse_args(argv)
+    assert cli.resolve(cli.COMMANDS[argv[0]], args)["grid"] == grid

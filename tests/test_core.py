@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from batchbandit.core import (
     ConfigurationError,
-    InvariantState,
     SymmetricPrior,
     UGrid,
     gaussian_kernel,
     loss_profile,
-    one_step_loss,
     transition_variance,
 )
 
@@ -39,10 +37,10 @@ def smeared_loss_oracle(atoms, ell, u, t1, t2, sigma=1e-5):
 class TestOneStepLoss:
     def test_frozen_single_atom_value(self):
         prior = SymmetricPrior.two_point(1.6)
-        s = InvariantState(u=0.0, t1=0.5, t2=0.5)
-        assert one_step_loss(prior, 1, s) == pytest.approx(0.4448596807251106, rel=1e-12)
+        want = pytest.approx(0.4448596807251106, rel=1e-12)
+        assert float(loss_profile(prior, 1, 0.0, 0.5, 0.5)) == want
         # at u = 0 both actions look identical
-        assert one_step_loss(prior, 2, s) == pytest.approx(0.4448596807251106, rel=1e-12)
+        assert float(loss_profile(prior, 2, 0.0, 0.5, 0.5)) == want
 
     @pytest.mark.parametrize(
         "atoms,ell,u,t1,t2,expected",
@@ -54,7 +52,7 @@ class TestOneStepLoss:
     )
     def test_frozen_values(self, atoms, ell, u, t1, t2, expected):
         prior = SymmetricPrior(tuple(atoms))
-        got = one_step_loss(prior, ell, InvariantState(u=u, t1=t1, t2=t2))
+        got = float(loss_profile(prior, ell, u, t1, t2))
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -69,14 +67,13 @@ class TestOneStepLoss:
     )
     def test_matches_quadrature_oracle(self, atoms, ell, u, t1, t2):
         prior = SymmetricPrior(tuple(atoms))
-        got = one_step_loss(prior, ell, InvariantState(u=u, t1=t1, t2=t2))
+        got = float(loss_profile(prior, ell, u, t1, t2))
         want = smeared_loss_oracle(atoms, ell, u, t1, t2)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
     def test_vanishing_gap_gives_vanishing_loss(self):
         prior = SymmetricPrior.two_point(1e-9)
-        s = InvariantState(u=0.0, t1=0.5, t2=0.5)
-        assert one_step_loss(prior, 1, s) <= 1e-8
+        assert float(loss_profile(prior, 1, 0.0, 0.5, 0.5)) <= 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -87,34 +84,31 @@ class TestOneStepLoss:
     )
     def test_action_swap_mirrors_u(self, u, t1, t2, d):
         prior = SymmetricPrior.two_point(d)
-        a = one_step_loss(prior, 1, InvariantState(u=u, t1=t1, t2=t2))
-        b = one_step_loss(prior, 2, InvariantState(u=-u, t1=t1, t2=t2))
+        a = float(loss_profile(prior, 1, u, t1, t2))
+        b = float(loss_profile(prior, 2, -u, t1, t2))
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_strictly_decreasing_in_overlap(self):
         # larger t1*t2/t means better-separated posteriors, hence lower loss
         prior = SymmetricPrior.two_point(1.3)
         u = 0.4  # (-1)^1 * u <= 0 branch
-        losses = [
-            one_step_loss(prior, 1, InvariantState(u=u, t1=s, t2=s))
-            for s in (0.05, 0.1, 0.2, 0.3, 0.45)
-        ]
+        losses = [float(loss_profile(prior, 1, u, s, s)) for s in (0.05, 0.1, 0.2, 0.3, 0.45)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_rejects_unobserved_state_and_bad_action(self):
         prior = SymmetricPrior.two_point(1.0)
         with pytest.raises(ValueError):
-            one_step_loss(prior, 1, InvariantState(u=0.0, t1=0.0, t2=0.0))
+            loss_profile(prior, 1, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            one_step_loss(prior, 3, InvariantState(u=0.0, t1=0.5, t2=0.5))
+            loss_profile(prior, 3, 0.0, 0.5, 0.5)
 
     def test_profile_matches_scalar(self):
         prior = SymmetricPrior(((0.8, 0.25), (2.0, 0.75)))
         grid = UGrid(1.0, 0.25)
         row = loss_profile(prior, 2, grid.points, 0.3, 0.2)
         for i, u in enumerate(grid.points):
-            s = InvariantState(u=float(u), t1=0.3, t2=0.2)
-            assert row[i] == pytest.approx(one_step_loss(prior, 2, s), rel=1e-14)
+            scalar = float(loss_profile(prior, 2, u, 0.3, 0.2))
+            assert row[i] == pytest.approx(scalar, rel=1e-14)
 
 
 class TestGaussianKernel:
@@ -213,13 +207,3 @@ class TestPrior:
         prior = SymmetricPrior(((1.5, 1.0),), c=1.5)
         assert prior.c == 1.5
 
-
-class TestStates:
-    def test_invariant_state_validation(self):
-        InvariantState(u=0.3, t1=0.5, t2=0.5)
-        with pytest.raises(ValueError):
-            InvariantState(u=0.0, t1=0.7, t2=0.4)
-        with pytest.raises(ValueError):
-            InvariantState(u=0.0, t1=-0.1, t2=0.4)
-        with pytest.raises(ValueError):
-            InvariantState(u=math.nan, t1=0.5, t2=0.5)

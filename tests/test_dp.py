@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
-from batchbandit.dp import (
-    DpConfig,
-    ValueTable,
-    assemble_bayes_risk,
-    solve_invariant,
-)
+from batchbandit.dp import DpConfig, solve_invariant
 
 # The brute-force backward-quadrature oracle lives in dp_oracle.py so the
 # acceptance suite can run the same comparison.
@@ -62,30 +57,6 @@ def test_initial_stage_decomposition_is_exact():
     assert out.bayes_risk - out.bayes_risk_no_initial == pytest.approx(
         2.0 * 0.1 * 1.6, abs=1e-15
     )
-
-
-def test_assemble_on_zero_table_returns_initial_term_only():
-    grid = UGrid(2.0, 0.05)
-    prior = SymmetricPrior.two_point(1.6)
-    value = ValueTable(
-        epsilon=0.02,
-        grid=grid,
-        n_packets=50,
-        prior=prior,
-        slices={(1, 1): np.zeros(grid.n_points)},
-    )
-    total, no_init = assemble_bayes_risk(value, prior)
-    assert no_init == 0.0
-    assert total == pytest.approx(2.0 * 0.02 * 1.6, abs=1e-15)
-
-
-def test_assemble_requires_first_decision_slice():
-    prior = SymmetricPrior.two_point(1.0)
-    value = ValueTable(
-        epsilon=0.02, grid=UGrid(2.0, 0.05), n_packets=50, prior=prior, slices={}
-    )
-    with pytest.raises(ValueError):
-        assemble_bayes_risk(value, prior)
 
 
 def test_worst_point_risk_matches_published_value():
@@ -141,8 +112,8 @@ def test_tie_break_and_sign_convention():
     # large positive u favors arm 1, large negative favors arm 2
     assert st.actions[1, 1, -1] == 1
     assert st.actions[1, 1, 0] == 2
-    assert st.action_at(1, 1, 1.9) == 1
-    assert st.action_at(1, 1, -1.9) == 2
+    assert st.actions[1, 1, grid.nearest_index(1.9)] == 1
+    assert st.actions[1, 1, grid.nearest_index(-1.9)] == 2
 
 
 def test_strategy_symmetry_modulo_exact_ties():
@@ -160,26 +131,6 @@ def test_strategy_symmetry_modulo_exact_ties():
             row = out.value.slices[(k1, k2)]
             mirrored = out.value.slices[(k2, k1)][::-1]
             assert np.allclose(row[disagree], mirrored[disagree], atol=1e-12)
-
-
-def test_forced_initial_actions():
-    out = solve_invariant(DpConfig(0.25, SymmetricPrior.two_point(1.0), UGrid(2.0, 0.05)))
-    st = out.strategy
-    assert st.action_at(0, 0, 0.0) == 1
-    assert st.action_at(1, 0, 0.7) == 2
-    assert st.action_at(0, 1, -0.7) == 1
-
-
-def test_value_table_interpolation():
-    cfg = DpConfig(0.25, SymmetricPrior.two_point(1.1), UGrid(2.0, 0.05))
-    out = solve_invariant(cfg, keep_values=True)
-    v = out.value
-    pts = cfg.grid.points
-    mid = 0.5 * (pts[10] + pts[11])
-    row = v.slices[(1, 1)]
-    assert v.value_at(mid, 1, 1) == pytest.approx(0.5 * (row[10] + row[11]), rel=1e-12)
-    assert v.value_at(5.0, 1, 1) == 0.0
-    assert v.value_at(-5.0, 1, 1) == 0.0
 
 
 def test_config_validation():

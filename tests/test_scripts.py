@@ -1,0 +1,37 @@
+"""Smoke runs of the experiment scripts on small lattices."""
+
+import json
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def script_main(name):
+    return runpy.run_path(str(SCRIPTS / name), run_name="script")["main"]
+
+
+def test_worst_case_summary(tmp_path):
+    out = tmp_path / "summary.json"
+    main = script_main("worst_case_summary.py")
+    assert main(["--epsilon", "0.25", "--skip-limit", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["epsilon"] == 0.25
+    assert doc["risk_star"] >= max(p["risk"] for p in doc["scan"])
+    assert "limit" not in doc
+    assert isinstance(doc["saddle"]["passed"], bool)
+
+
+def test_loss_curves(tmp_path):
+    out = tmp_path / "curves.csv"
+    main = script_main("loss_curves.py")
+    argv = ["--epsilon", "0.25", "--t", "400", "--m", "100", "--d-min", "0.5", "--d-max", "1.0",
+            "--step", "0.5", "--reps", "200", "--sim-every", "1", "--out", str(out)]
+    assert main(argv) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.endswith("sim_mean,sim_se")
+    assert [float(r.split(",")[0]) for r in rows] == [0.5, 1.0]
+    for row in rows:
+        d, bayes, frozen, bayes_ni, frozen_ni, sim_mean, sim_se = map(float, row.split(","))
+        assert frozen >= bayes - 1e-5
+        assert sim_se > 0.0 and abs(sim_mean - frozen) < 5.0 * sim_se + 1e-3

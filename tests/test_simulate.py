@@ -28,7 +28,7 @@ def expected_loss_16(table50):
 
 def ones_table(n_packets: int, grid: UGrid) -> StrategyTable:
     actions = np.ones((n_packets + 1, n_packets + 1, grid.n_points), dtype=np.int8)
-    return StrategyTable(epsilon=1.0 / n_packets, grid=grid, n_packets=n_packets, actions=actions)
+    return StrategyTable(epsilon=1.0 / n_packets, grid=grid, actions=actions)
 
 
 def test_identical_seeds_reproduce_bitwise(table50):
@@ -159,3 +159,9 @@ def test_config_validation(table50):
         simulate_gaussian(25, 1.6, table50, 10, seed=0)
     with pytest.raises(ConfigurationError):
         simulate_gaussian(50, -0.5, table50, 10, seed=0)
+
+
+def test_skipping_the_forced_start_needs_the_initial_states(table50):
+    # solver tables leave the states before two packets undefined
+    with pytest.raises(ConfigurationError, match="before two packets"):
+        simulate_gaussian(50, 1.6, table50, 100, seed=1, force_initial=False)

@@ -50,8 +50,7 @@ def test_meta_records_the_run(solved, tmp_path):
 
 def test_no_decision_states_round_trips(tmp_path):
     table = StrategyTable(
-        epsilon=0.5, grid=GRID, n_packets=2,
-        actions=np.zeros((3, 3, GRID.n_points), dtype=np.int8),
+        epsilon=0.5, grid=GRID, actions=np.zeros((3, 3, GRID.n_points), dtype=np.int8)
     )
     path = tmp_path / "tiny.csv"
     save_strategy(table, path)
@@ -60,14 +59,12 @@ def test_no_decision_states_round_trips(tmp_path):
     assert not loaded.actions.any()
 
 
-def test_save_rejects_undefined_states(tmp_path):
-    bad = StrategyTable(
-        epsilon=0.25, grid=GRID, n_packets=4,
-        actions=np.zeros((5, 5, GRID.n_points), dtype=np.int8),
-    )
-    with pytest.raises(ConfigurationError, match="undefined"):
-        save_strategy(bad, tmp_path / "bad.csv")
-    assert not (tmp_path / "bad.csv").exists()
+def test_save_rejects_undefined_states():
+    # a table with an undefined decision state cannot be built, so none is saved
+    actions = np.ones((5, 5, GRID.n_points), dtype=np.int8)
+    actions[2, 1, 7] = 0
+    with pytest.raises(ConfigurationError, match=r"undefined at state \(2, 1\)"):
+        StrategyTable(epsilon=0.25, grid=GRID, actions=actions)
 
 
 def _saved(solved, tmp_path):
