@@ -10,13 +10,7 @@ from .core import (
     loss_profile,
     transition_variance,
 )
-from .dp import (
-    DpConfig,
-    SolveOutput,
-    StrategyTable,
-    ValueTable,
-    solve_invariant,
-)
+from .dp import DpConfig, SolveOutput, StrategyTable, solve_invariant
 from .pde import PdeConfig, PdeSolution, solve_pde
 from .search import (
     MultiAtomResult,
@@ -68,7 +62,6 @@ __all__ = [
     "SymmetricPrior",
     "TrialResult",
     "UGrid",
-    "ValueTable",
     "evaluate",
     "golden_section_max",
     "load_strategy",

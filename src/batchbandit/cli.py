@@ -270,13 +270,16 @@ def _cmd_simulate(cfg: dict) -> dict:
             per_item=cfg["per_item"], orientation=cfg["orientation"],
         )
         res = simulate_bernoulli(trial, table)
-    else:
+        echo = ("model", "t", "m", "p", "d")
+    else:  # the Gaussian model takes its packet count from the table
         res = simulate_gaussian(
             table.n_packets, cfg["d"], table, cfg["reps"], cfg["seed"],
             orientation=cfg["orientation"],
         )
+        echo = ("model", "d")
     return {
-        **{k: cfg[k] for k in ("model", "t", "m", "p", "d")},
+        **{k: cfg[k] for k in echo},
+        "n_packets": table.n_packets,
         "replications": res.replications,
         "normalized_loss_mean": _j6(res.normalized_loss_mean),
         "standard_error": _j6(res.standard_error),

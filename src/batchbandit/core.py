@@ -70,18 +70,10 @@ class SymmetricPrior:
         """Prior concentrated at +-d with equal mass."""
         return cls(((float(d), 1.0),), c=c)
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms])
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
-
     @property
     def mean_w(self) -> float:
         """sum_i pi_i w_i; the initial turn-by-turn stage costs 2*eps times this."""
-        return float(np.dot(self.positions, self.weights))
+        return float(np.dot([w for w, _ in self.atoms], [p for _, p in self.atoms]))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,11 @@ class DpConfig:
     grid: UGrid = field(default_factory=UGrid)
 
     def __post_init__(self):
-        if packet_count(self.epsilon) > 2 and not self._grid_resolves_some_kernel():
+        P = packet_count(self.epsilon)
+        # the transition variance eps*t/(t+eps) grows with t, so the last
+        # interior diagonal K = P - 1 has the widest kernel
+        eps, t = self.epsilon, (P - 1) * self.epsilon
+        if P > 2 and self.grid.du > 3.0 * math.sqrt(eps * t * t / (t * (t + eps))):
             raise ConfigurationError(
                 f"du={self.grid.du} exceeds 3x the largest transition sigma at every "
                 "interior stage; the grid cannot resolve any kernel"
@@ -62,32 +66,6 @@ class DpConfig:
     @property
     def n_packets(self) -> int:
         return round(1.0 / self.epsilon)
-
-    def _grid_resolves_some_kernel(self) -> bool:
-        eps = self.epsilon
-        for K in range(2, self.n_packets):
-            t = K * eps
-            var_max = eps * t * t / (t * (t + eps))
-            if self.grid.du <= 3.0 * math.sqrt(var_max):
-                return True
-        return False
-
-
-@dataclass
-class ValueTable:
-    """Value slices over the (k1, k2) lattice.
-
-    slices maps (k1, k2) to the value row over the u-grid.  A full solve
-    with keep_values=True retains every diagonal from 2 to n_packets; the
-    memory-lean default keeps only (1, 1), which is all the risk assembly
-    needs.  The prior the table was built under travels with it.
-    """
-
-    epsilon: float
-    grid: UGrid
-    n_packets: int
-    prior: SymmetricPrior
-    slices: dict[tuple[int, int], np.ndarray]
 
 
 @dataclass
@@ -123,7 +101,14 @@ class StrategyTable:
 
 @dataclass
 class SolveOutput:
-    value: ValueTable
+    """Result of solve_invariant.
+
+    slices maps (k1, k2) to the value row over the u-grid: every diagonal
+    from 2 to n_packets with keep_values, otherwise only (1, 1), which is
+    all the risk assembly needs.  strategy is None with keep_strategy=False.
+    """
+
+    slices: dict[tuple[int, int], np.ndarray]
     strategy: StrategyTable | None
     bayes_risk: float
     bayes_risk_no_initial: float
@@ -194,8 +179,8 @@ def gaussian_expectations(epsilon: float, grid: UGrid):
 def solve_invariant(
     config: DpConfig, *, keep_values: bool = False, keep_strategy: bool = True
 ) -> SolveOutput:
-    """Backward sweep over all anti-diagonals; returns value, strategy and
-    the assembled Bayes risk.
+    """Backward sweep over all anti-diagonals; returns the value slices, the
+    strategy and the assembled Bayes risk.
 
     keep_values retains every slice (table-level diagnostics); the default
     keeps only (1, 1).  keep_strategy=False drops the action table for
@@ -215,10 +200,9 @@ def solve_invariant(
     slices, total, no_initial = backward_sweep(
         eps, P, grid, prior, gaussian_expectations(eps, grid), argmin, keep_values=keep_values
     )
-    value = ValueTable(epsilon=eps, grid=grid, n_packets=P, prior=prior, slices=slices)
     strategy = StrategyTable(epsilon=eps, grid=grid, actions=actions) if keep_strategy else None
     return SolveOutput(
-        value=value, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
+        slices=slices, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
     )
 
 

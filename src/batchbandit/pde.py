@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
-from .dp import ValueTable, backward_sweep
+from .dp import backward_sweep
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,12 @@ class PdeConfig:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    config: PdeConfig
+    """Limit risk with and without the initial stage; slices as in
+    dp.SolveOutput."""
+
     limit_risk: float
     limit_risk_no_initial: float
-    value: ValueTable
+    slices: dict[tuple[int, int], np.ndarray]
 
 
 def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
@@ -95,7 +97,4 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     slices, total, no_initial = backward_sweep(
         eps, P, grid, prior, stencil, minimum, keep_values=keep_values
     )
-    value = ValueTable(epsilon=eps, grid=grid, n_packets=P, prior=prior, slices=slices)
-    return PdeSolution(
-        config=config, limit_risk=total, limit_risk_no_initial=no_initial, value=value
-    )
+    return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial, slices=slices)

@@ -21,6 +21,9 @@ from .pde import PdeConfig, solve_pde
 from .strategy_eval import EvalStrategy, evaluate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# saddle_check fails only exceedances up to this gap; beyond it the forced
+# initial stage, 2*eps*d, dominates any strategy's loss
+SADDLE_CUTOFF = 16.0
 
 
 def backend_grid(backend: str, u_max: float | None = None, du: float | None = None) -> UGrid:
@@ -55,10 +58,6 @@ class ScanCurve:
     epsilon: float
     grid: UGrid
     points: tuple[ScanPoint, ...]
-
-    @property
-    def d_values(self) -> np.ndarray:
-        return np.array([p.d for p in self.points])
 
     @property
     def risks(self) -> np.ndarray:
@@ -176,10 +175,11 @@ class SaddleRow:
 class SaddleReport:
     """Frozen-strategy losses across priors, against the candidate saddle value.
 
-    passed means: within the cutoff no loss exceeds risk_star + tolerance and
-    the loss at d_star matches risk_star within the tolerance.  Exceedances
-    beyond the cutoff are listed, not failed; their loss_no_initial column
-    shows how much of the excess the forced initial stage contributes.
+    passed means: within the cutoff (SADDLE_CUTOFF) no loss exceeds
+    risk_star + tolerance and the loss at d_star matches risk_star within the
+    tolerance.  Exceedances beyond the cutoff are listed, not failed; their
+    loss_no_initial column shows how much of the excess the forced initial
+    stage contributes.
     """
 
     d_star: float
@@ -199,35 +199,38 @@ def saddle_check(
     *,
     grid: UGrid | None = None,
     d_values=None,
-    cutoff: float = 16.0,
     tolerance: float = 0.01,
 ) -> SaddleReport:
     """Freeze the optimal strategy at d_star and sweep its expected loss
-    over two-point priors; see SaddleReport for the pass condition."""
+    over two-point priors; see SaddleReport for the pass condition.
+
+    d_values defaults to 0.4, 0.8, ... up to SADDLE_CUTOFF plus 18 and 20;
+    d_star is always added.
+    """
     g = grid if grid is not None else UGrid()
     out = solve_invariant(DpConfig(epsilon, SymmetricPrior.two_point(d_star), g))
     frozen = EvalStrategy.from_table(out.strategy)
     risk_star = out.bayes_risk
 
     if d_values is None:
-        d_values = np.concatenate([np.arange(0.4, cutoff + 1e-9, 0.4), [18.0, 20.0]])
+        d_values = np.concatenate([np.arange(0.4, SADDLE_CUTOFF + 1e-9, 0.4), [18.0, 20.0]])
     ds = sorted(set(float(d) for d in d_values) | {float(d_star)})
     rows = []
     for d in ds:
         ev = evaluate(frozen, SymmetricPrior.two_point(d))
         rows.append(SaddleRow(d=d, loss=ev.total_loss, loss_no_initial=ev.loss_no_initial))
-    within = [r for r in rows if r.d <= cutoff + 1e-9]
+    within = [r for r in rows if r.d <= SADDLE_CUTOFF + 1e-9]
     max_within = max(r.loss for r in within)
     at_star = next(r for r in rows if r.d == float(d_star))
     equality_gap = abs(at_star.loss - risk_star)
     passed = max_within <= risk_star + tolerance and equality_gap <= tolerance
     exceedances = tuple(
-        r for r in rows if r.d > cutoff + 1e-9 and r.loss > risk_star + tolerance
+        r for r in rows if r.d > SADDLE_CUTOFF + 1e-9 and r.loss > risk_star + tolerance
     )
     return SaddleReport(
         d_star=float(d_star),
         risk_star=risk_star,
-        cutoff=cutoff,
+        cutoff=SADDLE_CUTOFF,
         tolerance=tolerance,
         rows=tuple(rows),
         max_within_cutoff=max_within,
@@ -241,7 +244,6 @@ def saddle_check(
 class MultiAtomResult:
     prior: SymmetricPrior
     risk: float
-    start_risk: float
     evaluations: int
 
 
@@ -278,7 +280,7 @@ def search_multi_atom(
         evals += 1
         return solve_invariant(DpConfig(epsilon, prior, g), keep_strategy=False).bayes_risk
 
-    start_risk = best = risk_of(w, a)
+    best = risk_of(w, a)
     for _ in range(sweeps):
         for i in range(n_atoms):
             x, y, _ = golden_section_max(
@@ -301,4 +303,4 @@ def search_multi_atom(
                     a[i], best = x, y
     pis = a / a.sum()
     prior = SymmetricPrior(tuple(zip(w.tolist(), pis.tolist())))
-    return MultiAtomResult(prior=prior, risk=best, start_risk=start_risk, evaluations=evals)
+    return MultiAtomResult(prior=prior, risk=best, evaluations=evals)

@@ -7,7 +7,9 @@ the direct Gaussian bandit (unit-variance packet incomes, mean gap
 U = (X1*k2 - X2*k1)/(k1 + k2), so neither model centers its incomes.
 Losses are normalized so both models estimate the same quantity as
 strategy-eval: (D*T)**-0.5 * (T*p_best - total successes), respectively
-N**-0.5 * (N*m_best - total income).
+N**-0.5 * (N*m_best - total income).  Every trial opens, as the model
+does, with the first two packets on arm 1 and then arm 2; the strategy
+table decides from the third packet on.
 
 Replications run in fixed-size lockstep batches, one spawned SeedSequence
 child per batch, so results are reproducible bit for bit per seed and
@@ -49,8 +51,6 @@ class BatchTrialConfig:
     probability 1/2, so the loss mean estimates the Bayes loss under the
     symmetric two-point prior.  per_item draws every Bernoulli item instead
     of one binomial count per packet (parity demonstrations only).
-    force_initial=False skips the forced turn-by-turn stage and consults
-    the table from the first packet (diagnostics with injected tables).
     """
 
     n_items: int
@@ -61,7 +61,6 @@ class BatchTrialConfig:
     seed: int
     per_item: bool = False
     orientation: int | None = None
-    force_initial: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1 or self.n_items % self.batch_size != 0:
@@ -97,7 +96,6 @@ class TrialResult:
     normalized_loss_mean: float
     standard_error: float
     replications: int
-    raw_losses: np.ndarray | None = None
 
 
 def _batch_sizes(replications: int):
@@ -111,8 +109,6 @@ def _lockstep(
     replications: int,
     seed: int,
     orientation: int | None,
-    force_initial: bool,
-    keep_losses: bool,
     draw,
     loss,
 ) -> TrialResult:
@@ -127,10 +123,6 @@ def _lockstep(
         raise ConfigurationError(
             f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
         )
-    # the table checks its decision states; without the forced start the
-    # trial also reads the states before two packets
-    if not force_initial and not strategy.actions[(0, 1, 0), (0, 0, 1)].all():
-        raise ConfigurationError("strategy is undefined at a state before two packets")
     root_n = math.sqrt(n_packets)
     losses = np.empty(replications)
     offset = 0
@@ -147,11 +139,10 @@ def _lockstep(
         k2 = np.zeros(n, dtype=np.int64)
         total = np.zeros(n)
         for step in range(n_packets):
-            if force_initial and step < 2:
-                # turn-by-turn start: arm 1, then arm 2
+            if step < 2:  # turn-by-turn start: arm 1, then arm 2
                 on1 = np.full(n, step == 0)
             else:
-                u = (X1 * k2 - X2 * k1) / (step * root_n) if step else np.zeros(n)
+                u = (X1 * k2 - X2 * k1) / (step * root_n)
                 on1 = strategy.actions[k1, k2, strategy.grid.nearest_index(u)] == 1
             xi, reward = draw(rng, np.where(on1, v, -v))
             X1 += np.where(on1, xi, 0.0)
@@ -166,17 +157,10 @@ def _lockstep(
     se = float(np.std(losses, ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
     if not math.isfinite(mean):
         raise InternalError("simulation produced a non-finite loss mean")
-    return TrialResult(
-        normalized_loss_mean=mean,
-        standard_error=se,
-        replications=losses.size,
-        raw_losses=losses if keep_losses else None,
-    )
+    return TrialResult(normalized_loss_mean=mean, standard_error=se, replications=losses.size)
 
 
-def simulate_bernoulli(
-    cfg: BatchTrialConfig, strategy: StrategyTable, *, keep_losses: bool = False
-) -> TrialResult:
+def simulate_bernoulli(cfg: BatchTrialConfig, strategy: StrategyTable) -> TrialResult:
     """Batched Bernoulli trial driven by a strategy table; see BatchTrialConfig."""
     M = cfg.batch_size
     xi_scale = 1.0 / math.sqrt(cfg.D * M)
@@ -192,8 +176,7 @@ def simulate_bernoulli(
         return counts * xi_scale, counts
 
     return _lockstep(
-        strategy, cfg.n_packets, cfg.replications, cfg.seed, cfg.orientation,
-        cfg.force_initial, keep_losses, draw,
+        strategy, cfg.n_packets, cfg.replications, cfg.seed, cfg.orientation, draw,
         lambda successes: loss_scale * (cfg.n_items * p_best - successes),
     )
 
@@ -206,8 +189,6 @@ def simulate_gaussian(
     seed: int,
     *,
     orientation: int | None = None,
-    force_initial: bool = True,
-    keep_losses: bool = False,
 ) -> TrialResult:
     """Direct Gaussian bandit: unit-variance packet incomes with means
     +-d/sqrt(n_packets), same normalization and lockstep driver."""
@@ -220,6 +201,6 @@ def simulate_gaussian(
         return xi, xi
 
     return _lockstep(
-        strategy, n_packets, replications, seed, orientation, force_initial, keep_losses,
-        draw, lambda income: (n_packets * m_gap_half - income) / root_n,
+        strategy, n_packets, replications, seed, orientation, draw,
+        lambda income: (n_packets * m_gap_half - income) / root_n,
     )

@@ -60,12 +60,9 @@ class EvalStrategy:
 
     @classmethod
     def from_table(cls, table: StrategyTable) -> "EvalStrategy":
-        """Deterministic strategy from a solver action table."""
-        return cls(
-            epsilon=table.epsilon,
-            grid=table.grid,
-            sigma1=(table.actions == 1).astype(float),
-        )
+        """Deterministic strategy from a solver action table; sigma1 is the
+        boolean mask of action 1, an eighth of the size of a float copy."""
+        return cls(epsilon=table.epsilon, grid=table.grid, sigma1=table.actions == 1)
 
     @classmethod
     def constant(cls, p: float, *, epsilon: float, grid: UGrid) -> "EvalStrategy":

@@ -44,17 +44,9 @@ def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
-def _prior_to_json(prior: SymmetricPrior | None):
-    if prior is None:
-        return None
-    return {
-        "atoms": [[w, p] for w, p in prior.atoms],
-        "c": prior.c if math.isfinite(prior.c) else "inf",
-    }
-
-
-def save_strategy(table: StrategyTable, path, prior: SymmetricPrior | None = None) -> None:
-    """Write the CSV table and its .meta.json sidecar atomically."""
+def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
+    """Write the CSV table and its .meta.json sidecar atomically; the sidecar
+    records the prior the table was solved under."""
     path = Path(path)
     P, n_u = table.n_packets, table.grid.n_points
     blocks = []
@@ -77,7 +69,10 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior | None = Non
         "epsilon": table.epsilon,
         "n_packets": P,
         "grid": {"u_max": table.grid.u_max, "du": table.grid.du, "n_points": n_u},
-        "prior": _prior_to_json(prior),
+        "prior": {
+            "atoms": [[w, p] for w, p in prior.atoms],
+            "c": prior.c if math.isfinite(prior.c) else "inf",
+        },
         "tie_break": "prefer-action-1",
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
@@ -167,7 +162,7 @@ def load_strategy(path) -> StrategyTable:
 
     with open(path) as fh:
         first = fh.readline().strip()
-        has_data = bool(fh.read().strip())
+        has_data = any(line.strip() for line in fh)
     if first != _HEADER:
         raise StrategyFormatError(f"{path}: line 1: expected header {_HEADER!r}, got {first!r}")
     if has_data:

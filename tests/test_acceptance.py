@@ -142,7 +142,7 @@ def test_c07_solver_matches_quadrature_oracle_everywhere():
             out = solve_invariant(
                 DpConfig(eps, SymmetricPrior(atoms), ORACLE_GRID), keep_values=True
             )
-            for (k1, k2), row in out.value.slices.items():
+            for (k1, k2), row in out.slices.items():
                 want = oracle_value(
                     atoms, eps, ORACLE_GRID.u_max, n_packets, k1, k2, ORACLE_GRID.points
                 )
@@ -186,26 +186,28 @@ def test_c10_structural_property_suite(frozen_minimax):
     prior = SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))
 
     # arm-swap symmetry, nonnegativity and terminal zeros of the dp surface
-    out = solve_invariant(DpConfig(0.125, prior, UGrid(2.0, 0.05)), keep_values=True)
-    for (k1, k2), row in out.value.slices.items():
+    cfg = DpConfig(0.125, prior, UGrid(2.0, 0.05))
+    out = solve_invariant(cfg, keep_values=True)
+    for (k1, k2), row in out.slices.items():
         np.testing.assert_allclose(
-            row, out.value.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
+            row, out.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
         )
         assert np.all(row >= 0.0)
-    P = out.value.n_packets
+    P = cfg.n_packets
     for k1 in range(P + 1):
-        assert np.all(out.value.slices[(k1, P - k1)] == 0.0)
+        assert np.all(out.slices[(k1, P - k1)] == 0.0)
 
     # the same three for the diffusion scheme
-    pout = solve_pde(PdeConfig(0.01, prior, du=0.1001, u_max=2.0), keep_values=True)
-    for (k1, k2), row in pout.value.slices.items():
+    pcfg = PdeConfig(0.01, prior, du=0.1001, u_max=2.0)
+    pout = solve_pde(pcfg, keep_values=True)
+    for (k1, k2), row in pout.slices.items():
         np.testing.assert_allclose(
-            row, pout.value.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
+            row, pout.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
         )
         assert np.all(row >= 0.0)
-    Pp = pout.value.n_packets
+    Pp = pcfg.n_packets
     for k1 in range(Pp + 1):
-        assert np.all(pout.value.slices[(k1, Pp - k1)] == 0.0)
+        assert np.all(pout.slices[(k1, Pp - k1)] == 0.0)
 
     # coarser batching can only hurt
     risks = [

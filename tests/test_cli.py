@@ -156,6 +156,7 @@ def test_simulate_matches_in_process_run(tmp_path, capsys):
          "--strategy", str(path), "--reps", "2000", "--seed", "9"],
     )
     assert doc["replications"] == 2000
+    assert doc["n_packets"] == 20
     cfg = BatchTrialConfig(1000, 50, 0.5, 1.6, replications=2000, seed=9)
     direct = simulate_bernoulli(cfg, load_strategy(path))
     assert doc["normalized_loss_mean"] == pytest.approx(
@@ -174,6 +175,20 @@ def test_simulate_gaussian_model(tmp_path, capsys):
     )
     assert doc["model"] == "gaussian"
     assert doc["replications"] == 2000
+
+
+def test_simulate_gaussian_summary_reports_the_tables_packets(tmp_path, capsys):
+    # the Gaussian run takes its 10 packets from the table; the unused
+    # --t/--m defaults (50 packets) must not appear in its summary
+    path = tmp_path / "s.csv"
+    assert main(["export-strategy", "--epsilon", "0.1", "--d", "1.6",
+                 "--u-max", "2.0", "--du", "0.05", "--out", str(path)]) == 0
+    doc = run_json(
+        capsys,
+        ["simulate", "--model", "gaussian", "--strategy", str(path), "--reps", "200"],
+    )
+    assert doc["n_packets"] == 10
+    assert not {"t", "m", "p"} & set(doc)
 
 
 def test_simulate_reports_malformed_strategy(tmp_path, capsys):

@@ -18,7 +18,7 @@ def test_solver_matches_oracle_at_every_state(n_packets, atoms):
     grid = ORACLE_GRID
     prior = SymmetricPrior(atoms)
     out = solve_invariant(DpConfig(eps, prior, grid), keep_values=True)
-    for (k1, k2), row in out.value.slices.items():
+    for (k1, k2), row in out.slices.items():
         want = oracle_value(atoms, eps, grid.u_max, n_packets, k1, k2, grid.points)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-4)
 
@@ -28,7 +28,7 @@ def test_oracle_agreement_is_well_under_tolerance():
     grid = ORACLE_GRID
     prior = SymmetricPrior.two_point(1.1)
     out = solve_invariant(DpConfig(0.25, prior, grid), keep_values=True)
-    row = out.value.slices[(1, 1)]
+    row = out.slices[(1, 1)]
     want = oracle_value(((1.1, 1.0),), 0.25, grid.u_max, 4, 1, 1, grid.points)
     np.testing.assert_allclose(row, want, rtol=0, atol=2e-5)
 
@@ -43,7 +43,7 @@ def test_pure_initial_stage_closed_form():
     out = solve_invariant(DpConfig(0.5, SymmetricPrior.two_point(1.0), UGrid(2.0, 0.05)))
     assert out.bayes_risk == pytest.approx(1.0, abs=1e-12)
     assert out.bayes_risk_no_initial == 0.0
-    assert np.all(out.value.slices[(1, 1)] == 0.0)
+    assert np.all(out.slices[(1, 1)] == 0.0)
 
 
 def test_vanishing_gap_risk_vanishes():
@@ -77,12 +77,11 @@ def test_risk_monotone_in_batch_fraction():
 
 
 def test_terminal_zeros_nonnegativity_and_finiteness():
-    out = solve_invariant(
-        DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)), keep_values=True
-    )
-    P = out.value.n_packets
+    cfg = DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02))
+    out = solve_invariant(cfg, keep_values=True)
+    P = cfg.n_packets
     seen_terminal = 0
-    for (k1, k2), row in out.value.slices.items():
+    for (k1, k2), row in out.slices.items():
         assert np.all(np.isfinite(row))
         assert np.all(row >= 0.0)
         if k1 + k2 == P:
@@ -96,8 +95,8 @@ def test_arm_swap_symmetry_of_values():
         DpConfig(0.125, SymmetricPrior(((0.8, 0.3), (1.6, 0.7))), UGrid(3.0, 0.02)),
         keep_values=True,
     )
-    for (k1, k2), row in out.value.slices.items():
-        mirrored = out.value.slices[(k2, k1)]
+    for (k1, k2), row in out.slices.items():
+        mirrored = out.slices[(k2, k1)]
         np.testing.assert_allclose(row, mirrored[::-1], rtol=0, atol=1e-9)
 
 
@@ -119,8 +118,8 @@ def test_tie_break_and_sign_convention():
 def test_strategy_symmetry_modulo_exact_ties():
     cfg = DpConfig(0.125, SymmetricPrior.two_point(1.3), UGrid(3.0, 0.02))
     out = solve_invariant(cfg, keep_values=True)
-    P = out.value.n_packets
-    for (k1, k2) in out.value.slices:
+    P = cfg.n_packets
+    for (k1, k2) in out.slices:
         if not (2 <= k1 + k2 <= P - 1):
             continue
         a = out.strategy.actions[k1, k2]
@@ -128,8 +127,8 @@ def test_strategy_symmetry_modulo_exact_ties():
         disagree = a != (3 - b)
         if np.any(disagree):
             # disagreements are only allowed at exact value ties
-            row = out.value.slices[(k1, k2)]
-            mirrored = out.value.slices[(k2, k1)][::-1]
+            row = out.slices[(k1, k2)]
+            mirrored = out.slices[(k2, k1)][::-1]
             assert np.allclose(row[disagree], mirrored[disagree], atol=1e-12)
 
 
@@ -143,3 +142,7 @@ def test_config_validation():
         DpConfig(0.0, prior)
     with pytest.raises(ConfigurationError):
         DpConfig(0.25, prior, UGrid(4.0, 2.0))  # grid cannot resolve any kernel
+    # the widest kernel, at K = 3, has 3 sigma = 3*sqrt(0.1875) ~ 1.299
+    DpConfig(0.25, prior, UGrid(4.0, 1.29))
+    with pytest.raises(ConfigurationError, match="cannot resolve any kernel"):
+        DpConfig(0.25, prior, UGrid(4.0, 1.31))

@@ -44,13 +44,13 @@ def test_penultimate_diagonal_is_one_step_loss():
             loss_profile(prior, 2, u, k1 * eps, k2 * eps),
         )
         want[0] = want[-1] = 0.0
-        np.testing.assert_allclose(sol.value.slices[(k1, k2)], want, atol=1e-14)
+        np.testing.assert_allclose(sol.slices[(k1, k2)], want, atol=1e-14)
 
 
 def test_keep_values_retains_every_diagonal():
     sol = solve_pde(PdeConfig(0.25, SymmetricPrior.two_point(1.0), du=0.5), keep_values=True)
-    assert len(sol.value.slices) == 12  # sum of K+1 over K = 2..4
-    for row in sol.value.slices.values():
+    assert len(sol.slices) == 12  # sum of K+1 over K = 2..4
+    for row in sol.slices.values():
         assert np.isfinite(row).all()
         assert (row >= 0.0).all()
 
@@ -69,7 +69,7 @@ def test_matches_exact_solver_as_eps_shrinks():
 
 def test_limit_value_slice_is_symmetric():
     sol = solve_pde(PdeConfig(0.004, SymmetricPrior(((0.8, 0.3), (1.9, 0.7))), du=0.0633))
-    row = sol.value.slices[(1, 1)]
+    row = sol.slices[(1, 1)]
     np.testing.assert_allclose(row, row[::-1], atol=1e-12)
 
 

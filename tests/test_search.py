@@ -101,7 +101,7 @@ def test_saddle_check_passes_at_the_worst_gap():
     curve = scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.02)
     res = refine(curve, tolerance=0.01)
     ds = np.r_[np.arange(0.4, 16.1, 0.8), [18.0, 20.0]]
-    report = saddle_check(res.d_star, 0.02, d_values=ds, cutoff=16.0)
+    report = saddle_check(res.d_star, 0.02, d_values=ds)
     assert report.passed
     # evaluating the frozen argmin table reruns the solve pipeline exactly
     assert report.equality_gap == pytest.approx(0.0, abs=1e-12)
@@ -118,14 +118,17 @@ def test_saddle_check_passes_at_the_worst_gap():
 def test_saddle_check_reports_off_saddle_freeze():
     # freezing the strategy at a clearly sub-worst gap must break the
     # saddle inequality somewhere in the sweep
-    report = saddle_check(0.4, EPS, grid=GRID, d_values=[0.4, 1.6, 2.4], cutoff=16.0)
+    report = saddle_check(0.4, EPS, grid=GRID, d_values=[0.4, 1.6, 2.4])
     assert not report.passed
     assert report.max_within_cutoff > report.risk_star + report.tolerance
 
 
 def test_multi_atom_ascent_never_regresses():
     res = search_multi_atom(0.02, 2, sweeps=1, w_bounds=(0.5, 2.5), tolerance=0.05)
-    assert res.risk >= res.start_risk - 1e-12
+    # the ascent starts from atoms 1.0 and 2.2 with equal mass
+    start = SymmetricPrior(((1.0, 0.5), (2.2, 0.5)))
+    start_risk = solve_invariant(DpConfig(0.02, start), keep_strategy=False).bayes_risk
+    assert res.risk >= start_risk - 1e-12
     assert res.evaluations > 0
     assert math.isclose(sum(p for _, p in res.prior.atoms), 1.0, abs_tol=1e-9)
     two_point = refine(scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.02), tolerance=0.01)

@@ -33,11 +33,10 @@ def ones_table(n_packets: int, grid: UGrid) -> StrategyTable:
 
 def test_identical_seeds_reproduce_bitwise(table50):
     cfg = BatchTrialConfig(5000, 100, 0.5, 1.6, replications=3000, seed=11)
-    a = simulate_bernoulli(cfg, table50, keep_losses=True)
-    b = simulate_bernoulli(cfg, table50, keep_losses=True)
+    a = simulate_bernoulli(cfg, table50)
+    b = simulate_bernoulli(cfg, table50)
     assert a.normalized_loss_mean == b.normalized_loss_mean
     assert a.standard_error == b.standard_error
-    assert np.array_equal(a.raw_losses, b.raw_losses)
     g1 = simulate_gaussian(50, 1.6, table50, 3000, seed=11)
     g2 = simulate_gaussian(50, 1.6, table50, 3000, seed=11)
     assert g1.normalized_loss_mean == g2.normalized_loss_mean
@@ -101,11 +100,6 @@ def test_forced_initial_stage_appears_in_the_loss(table50):
     forced = simulate_gaussian(50, 1.6, oracle, 20000, seed=29, orientation=1)
     want = 2.0 * 1.6 / 50.0
     assert abs(forced.normalized_loss_mean - want) <= 3.0 * forced.standard_error
-    free = simulate_gaussian(
-        50, 1.6, oracle, 20000, seed=31, orientation=1, force_initial=False
-    )
-    assert abs(free.normalized_loss_mean) <= 3.0 * free.standard_error
-    assert forced.normalized_loss_mean > free.normalized_loss_mean + 0.02
 
 
 def test_per_item_draws_agree_with_binomial_counts():
@@ -127,14 +121,6 @@ def test_normalization_bridge_is_exact():
     gap = math.sqrt(M / cfg.D) * ((cfg.p + cfg.delta) - (cfg.p - cfg.delta))
     assert gap == pytest.approx(2.0 * cfg.d / math.sqrt(N), abs=1e-12)
     assert cfg.D == pytest.approx(0.25, abs=1e-15)
-
-
-def test_raw_losses_kept_only_on_request(table50):
-    cfg = BatchTrialConfig(5000, 100, 0.5, 1.6, replications=500, seed=2)
-    assert simulate_bernoulli(cfg, table50).raw_losses is None
-    kept = simulate_bernoulli(cfg, table50, keep_losses=True)
-    assert kept.raw_losses.shape == (500,)
-    assert kept.normalized_loss_mean == pytest.approx(float(kept.raw_losses.mean()), abs=1e-12)
 
 
 def test_config_validation(table50):
@@ -160,8 +146,3 @@ def test_config_validation(table50):
     with pytest.raises(ConfigurationError):
         simulate_gaussian(50, -0.5, table50, 10, seed=0)
 
-
-def test_skipping_the_forced_start_needs_the_initial_states(table50):
-    # solver tables leave the states before two packets undefined
-    with pytest.raises(ConfigurationError, match="before two packets"):
-        simulate_gaussian(50, 1.6, table50, 100, seed=1, force_initial=False)

@@ -53,7 +53,7 @@ def test_no_decision_states_round_trips(tmp_path):
         epsilon=0.5, grid=GRID, actions=np.zeros((3, 3, GRID.n_points), dtype=np.int8)
     )
     path = tmp_path / "tiny.csv"
-    save_strategy(table, path)
+    save_strategy(table, path, SymmetricPrior.two_point(1.0))
     loaded = load_strategy(path)
     assert loaded.n_packets == 2
     assert not loaded.actions.any()
