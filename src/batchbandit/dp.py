@@ -65,7 +65,7 @@ class DpConfig:
 
     @property
     def n_packets(self) -> int:
-        return round(1.0 / self.epsilon)
+        return packet_count(self.epsilon)
 
 
 @dataclass
@@ -129,11 +129,13 @@ def backward_sweep(
     stage).
 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
-    Each step fills l1 = eps*g1 and l2 = eps*g2 from one loss_profile call,
-    lets expect(K, succ, l1, l2) add the expectations of the successor
-    diagonal succ in place, and takes the diagonal's values from
-    combine(K, l1, l2).  slices holds every diagonal with keep_values,
-    otherwise only (1, 1).
+    Each step fills l1 = eps*g1 and l2 = eps*g2 from one loss_profile call on
+    the half rows k1 <= K/2: g1 depends on (t1, t2) only through
+    tau = t1*t2/t, which is bitwise the same on rows k1 and K - k1, so row
+    K - k1 copies row k1 (and g2 is g1 mirrored in u).  It then lets
+    expect(K, succ, l1, l2) add the expectations of the successor diagonal
+    succ in place, and takes the diagonal's values from combine(K, l1, l2).
+    slices holds every diagonal with keep_values, otherwise only (1, 1).
     """
     u = grid.points
     succ = np.zeros((n_packets + 1, u.size))
@@ -141,9 +143,11 @@ def backward_sweep(
     if keep_values:
         slices.update(((k1, n_packets - k1), succ[k1]) for k1 in range(n_packets + 1))
     for K in range(n_packets - 1, 1, -1):
+        j = np.arange(K // 2 + 1)
+        half = loss_profile(prior, 1, u, j * epsilon, (K - j) * epsilon)
+        half *= epsilon
         k1 = np.arange(K + 1)
-        l1 = loss_profile(prior, 1, u, k1 * epsilon, (K - k1) * epsilon)
-        l1 *= epsilon
+        l1 = half[np.minimum(k1, K - k1)]
         l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
         expect(K, succ, l1, l2)
         cur = combine(K, l1, l2)

@@ -12,6 +12,13 @@ with Dirichlet 0 beyond +-u_max.  The scheme is monotone iff eps <= du^2
 are the price of small eps here, the exact solver has no such coupling.
 The march is dp.backward_sweep with the stencil as its expectation and a
 plain minimum, pinned to 0 at +-u_max, as its combination.
+
+The stencil updates only rows k1 <= K/2 of each anti-diagonal and mirrors
+the rest by arm-swap symmetry, r_1(u, k1, k2) = r_2(-u, k2, k1).  That is
+exact for the scheme: the u-grid is symmetric about 0, and tau = t1*t2/t,
+hence the one-step loss, and c_l are symmetric in (t1, t2).  A full-lattice
+march differs from the mirrored rows only in the rounding of the
+Laplacian's sum order, at the last bit.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class PdeConfig:
 
     @property
     def n_packets(self) -> int:
-        return round(1.0 / self.epsilon)
+        return packet_count(self.epsilon)
 
     @property
     def grid(self) -> UGrid:
@@ -76,17 +83,26 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     inv_du2 = 1.0 / (grid.du * grid.du)
 
     def stencil(K, succ, l1, l2):
+        # march rows k1 <= K/2 only: by arm-swap symmetry row K - j of one
+        # action is row j of the other reversed in u, exact because the grid
+        # is symmetric about 0 and tau and c_l are symmetric in (t1, t2)
+        H = K // 2 + 1
         t = K * eps
-        k1 = np.arange(K + 1)
+        k1 = np.arange(H)
         t1 = k1 * eps
         t2 = (K - k1) * eps
         c1 = (t2 * t2 / (2.0 * t * (t + eps)))[:, None]
         c2 = (t1 * t1 / (2.0 * t * (t + eps)))[:, None]
-        up, keep = succ[1 : K + 2], succ[: K + 1]
-        l1 += up
-        l2 += keep
-        l1[:, 1:-1] += (eps * inv_du2) * c1 * (up[:, :-2] - 2.0 * up[:, 1:-1] + up[:, 2:])
-        l2[:, 1:-1] += (eps * inv_du2) * c2 * (keep[:, :-2] - 2.0 * keep[:, 1:-1] + keep[:, 2:])
+        for out, x, c in ((l1[:H], succ[1 : H + 1], c1), (l2[:H], succ[:H], c2)):
+            # one scratch block per action, rounding as (x[i-1] - 2 x[i]) + x[i+1]
+            lap = x[:, 1:-1] * -2.0
+            lap += x[:, :-2]
+            lap += x[:, 2:]
+            lap *= (eps * inv_du2) * c
+            out += x
+            out[:, 1:-1] += lap
+        l1[H:] = l2[K - H :: -1, ::-1]
+        l2[H:] = l1[K - H :: -1, ::-1]
 
     def minimum(K, l1, l2):
         cur = np.minimum(l1, l2)

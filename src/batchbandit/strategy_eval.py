@@ -56,7 +56,7 @@ class EvalStrategy:
 
     @property
     def n_packets(self) -> int:
-        return round(1.0 / self.epsilon)
+        return packet_count(self.epsilon)
 
     @classmethod
     def from_table(cls, table: StrategyTable) -> "EvalStrategy":

@@ -88,6 +88,26 @@ class TestOneStepLoss:
         b = float(loss_profile(prior, 2, -u, t1, t2))
         assert a == pytest.approx(b, rel=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ws=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3, unique=True),
+        t1=st.floats(0.001, 0.5),
+        t2=st.floats(0.001, 0.5),
+        n_packets=st.integers(3, 1000),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_arm_swap_leaves_the_loss_row_bitwise_equal(self, ws, t1, t2, n_packets, frac):
+        # backward_sweep computes rows k1 <= K/2 of a diagonal and copies
+        # them to rows K - k1, which needs these to be equal bit for bit
+        prior = SymmetricPrior(tuple((w, 1.0 / len(ws)) for w in ws))
+        u = UGrid(4.0, 0.1).points
+        assert np.array_equal(loss_profile(prior, 1, u, t1, t2), loss_profile(prior, 1, u, t2, t1))
+        eps = 1.0 / n_packets
+        K = 2 + round(frac * (n_packets - 3))
+        k1 = np.arange(K + 1)
+        rows = loss_profile(prior, 1, u, k1 * eps, (K - k1) * eps)
+        assert np.array_equal(rows, rows[::-1])
+
     def test_strictly_decreasing_in_overlap(self):
         # larger t1*t2/t means better-separated posteriors, hence lower loss
         prior = SymmetricPrior.two_point(1.3)

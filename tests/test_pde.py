@@ -8,6 +8,57 @@ from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.pde import PdeConfig, solve_pde
 
 
+TWO_ATOM = SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))
+
+
+def full_lattice_march(atoms, eps, du, u_max):
+    """The explicit scheme written out over all K + 1 rows of every
+    diagonal, sharing no code with the solver; returns {(k1, k2): row} for
+    the diagonals 2 .. n_packets."""
+    P = round(1.0 / eps)
+    n = round(u_max / du)
+    u = du * np.arange(-n, n + 1)
+
+    def g(sign, t1, t2):
+        tau = t1 * t2 / (t1 + t2)
+        return sum(p * w * np.exp(sign * 2.0 * w * u - 2.0 * w * w * tau) for w, p in atoms)
+
+    rows = {(k1, P - k1): np.zeros(u.size) for k1 in range(P + 1)}
+    for K in range(P - 1, 1, -1):
+        t = K * eps
+        for k1 in range(K + 1):
+            k2 = K - k1
+            best = None
+            for sign, succ, other in ((-1.0, (k1 + 1, k2), k2 * eps), (1.0, (k1, k2 + 1), k1 * eps)):
+                r = rows[succ]
+                a = eps * other * other / (2.0 * t * (t + eps)) / (du * du)
+                cand = eps * g(sign, k1 * eps, k2 * eps) + r
+                cand[1:-1] += a * (r[:-2] - 2.0 * r[1:-1] + r[2:])
+                best = cand if best is None else np.minimum(best, cand)
+            best[0] = best[-1] = 0.0  # Dirichlet 0 at +-u_max
+            rows[(k1, k2)] = best
+    return rows
+
+
+@pytest.mark.parametrize(
+    "prior,eps,du,u_max",
+    [
+        (TWO_ATOM, 0.05, 0.25, 2.0),  # diagonals K = 2 .. 19, odd and even
+        (SymmetricPrior.two_point(1.6), 0.1, 0.32, 2.24),
+        (TWO_ATOM, 0.25, 0.5, 2.0),  # K = 3 and 2
+    ],
+)
+def test_half_lattice_matches_the_full_lattice_march(prior, eps, du, u_max):
+    sol = solve_pde(PdeConfig(eps, prior, du=du, u_max=u_max), keep_values=True)
+    want = full_lattice_march(prior.atoms, eps, du, u_max)
+    assert sorted(sol.slices) == sorted(want)
+    for state, row in want.items():
+        np.testing.assert_allclose(sol.slices[state], row, rtol=0.0, atol=1e-13)
+    for (k1, k2), row in sol.slices.items():
+        if k1 != k2:
+            assert np.array_equal(row, sol.slices[(k2, k1)][::-1]), (k1, k2)
+
+
 def test_rejects_unstable_step_pairing():
     prior = SymmetricPrior.two_point(1.57)
     # du^2 = 0.000529 < eps: the monotone explicit step breaks down
