@@ -19,9 +19,9 @@ with Dirichlet-0 reads beyond +-u_max.
 
 backward_sweep is the one implementation of that walk.  It takes the
 successor expectation and the combination of the two action values as
-callbacks: solve_invariant convolves and takes the argmin, recording the
-actions as it goes; pde.solve_pde swaps in a 3-tap stencil;
-strategy_eval.evaluate convolves and blends by a fixed strategy.
+callbacks: solve_invariant convolves and takes the argmin, recording it as
+the StrategyTable's arm-1 mask; pde.solve_pde swaps in a 3-tap stencil;
+strategy_eval.evaluate convolves and plays the arm a fixed table picks.
 """
 
 from __future__ import annotations
@@ -68,35 +68,33 @@ class DpConfig:
         return packet_count(self.epsilon)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StrategyTable:
-    """argmin actions on the decision lattice 2 <= k1 + k2 <= n_packets - 1.
+    """Deterministic strategy on the decision lattice 2 <= k1 + k2 <= n_packets - 1.
 
-    actions[k1, k2, i] is 1 or 2 (0 marks states outside the lattice).
-    Value ties resolve to action 1.  The two initial batches are forced
-    turn-by-turn: arm 1 first, then the unplayed arm.  Construction checks
-    the lattice shape and that every decision state is defined; n_packets
-    follows from epsilon.
+    arm1[k1, k2, i] is True where arm 1 is played at grid point i of state
+    (k1, k2); entries off the lattice are unused.  The solver's table holds
+    its argmin, with value ties resolved to arm 1.  The two initial batches
+    are forced turn-by-turn (arm 1 first, then the unplayed arm) and are not
+    part of the table.  Construction checks the lattice shape and the bool
+    dtype; n_packets follows from epsilon.
     """
 
     epsilon: float
     grid: UGrid
-    actions: np.ndarray
-    n_packets: int = field(init=False)
+    arm1: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        P = self.n_packets = packet_count(self.epsilon)
+        P = packet_count(self.epsilon)
         want = (P + 1, P + 1, self.grid.n_points)
-        if self.actions.shape != want:
-            raise ConfigurationError(
-                f"actions have shape {self.actions.shape}, the lattice needs {want}"
-            )
-        for K in range(2, P):
-            k1 = np.arange(K + 1)
-            undefined = (self.actions[k1, K - k1] == 0).any(axis=1)
-            if undefined.any():
-                i = int(np.argmax(undefined))
-                raise ConfigurationError(f"strategy is undefined at state ({i}, {K - i})")
+        if not (isinstance(self.arm1, np.ndarray) and self.arm1.dtype == bool):
+            raise ConfigurationError("arm1 must be a bool array")
+        if self.arm1.shape != want:
+            raise ConfigurationError(f"arm1 has shape {self.arm1.shape}, the lattice needs {want}")
+
+    @property
+    def n_packets(self) -> int:
+        return packet_count(self.epsilon)
 
 
 @dataclass
@@ -192,19 +190,19 @@ def solve_invariant(
     """
     P = config.n_packets
     grid, prior, eps = config.grid, config.prior, config.epsilon
-    actions = np.zeros((P + 1, P + 1, grid.n_points), dtype=np.int8) if keep_strategy else None
+    arm1 = np.zeros((P + 1, P + 1, grid.n_points), dtype=bool) if keep_strategy else None
 
     def argmin(K, l1, l2):
         take1 = l1 <= l2  # value ties resolve to action 1
-        if actions is not None:
+        if arm1 is not None:
             k1 = np.arange(K + 1)
-            actions[k1, K - k1] = np.where(take1, 1, 2)
+            arm1[k1, K - k1] = take1
         return np.where(take1, l1, l2)
 
     slices, total, no_initial = backward_sweep(
         eps, P, grid, prior, gaussian_expectations(eps, grid), argmin, keep_values=keep_values
     )
-    strategy = StrategyTable(epsilon=eps, grid=grid, actions=actions) if keep_strategy else None
+    strategy = StrategyTable(epsilon=eps, grid=grid, arm1=arm1) if keep_strategy else None
     return SolveOutput(
         slices=slices, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
     )

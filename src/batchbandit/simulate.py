@@ -33,8 +33,8 @@ BATCH_REPS = 4096
 def _check_trial(n_packets: int, d: float, replications: int, orientation) -> None:
     if n_packets < 2:
         raise ConfigurationError("need at least two packets")
-    if d < 0.0:
-        raise ConfigurationError(f"d must be nonnegative, got {d}")
+    if not (math.isfinite(d) and d >= 0.0):
+        raise ConfigurationError(f"d must be finite and nonnegative, got {d}")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
     if orientation not in (None, 1, -1):
@@ -143,7 +143,7 @@ def _lockstep(
                 on1 = np.full(n, step == 0)
             else:
                 u = (X1 * k2 - X2 * k1) / (step * root_n)
-                on1 = strategy.actions[k1, k2, strategy.grid.nearest_index(u)] == 1
+                on1 = strategy.arm1[k1, k2, strategy.grid.nearest_index(u)]
             xi, reward = draw(rng, np.where(on1, v, -v))
             X1 += np.where(on1, xi, 0.0)
             X2 += np.where(on1, 0.0, xi)

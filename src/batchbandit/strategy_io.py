@@ -1,12 +1,12 @@
 """Strategy-table persistence.
 
-A table is a CSV `k1,k2,u_index,action` covering every decision state
-(2 <= k1 + k2 <= n_packets - 1, every grid index) plus a JSON sidecar
-<name>.meta.json recording epsilon, the grid, the prior the table was
-solved under, the tie-break rule and a format version.  CSV keeps the
-tables human-diffable; the default lattice is about a million short rows.
-Writes go through a temp file and rename, so a failed run leaves no
-partial output.
+A table is a CSV `k1,k2,u_index,action`, action being the arm played (1 or
+2), covering every decision state (2 <= k1 + k2 <= n_packets - 1, every
+grid index) plus a JSON sidecar <name>.meta.json recording epsilon, the
+grid, the prior the table was solved under, the tie-break rule and a
+format version.  CSV keeps the tables human-diffable; the default lattice
+is about a million short rows.  Writes go through a temp file and rename,
+so a failed run leaves no partial output.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
                         np.full(n_u, k1, dtype=np.int64),
                         np.full(n_u, K - k1, dtype=np.int64),
                         np.arange(n_u, dtype=np.int64),
-                        table.actions[k1, K - k1].astype(np.int64),
+                        2 - table.arm1[k1, K - k1].astype(np.int64),
                     ]
                 )
             )
@@ -123,6 +123,8 @@ def _load_meta(path: Path) -> dict:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise StrategyFormatError(f"{meta_path}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise StrategyFormatError(f"{meta_path}: the sidecar must be a JSON object")
     if meta.get("format_version") != STRATEGY_FORMAT_VERSION:
         raise StrategyFormatError(
             f"{meta_path}: format_version {meta.get('format_version')!r} is not "
@@ -142,12 +144,12 @@ def load_strategy(path) -> StrategyTable:
     meta = _load_meta(path)
     try:
         grid = UGrid(u_max=float(meta["grid"]["u_max"]), du=float(meta["grid"]["du"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StrategyFormatError(f"{_meta_path(path)}: bad grid spec: {exc}") from None
     try:
         eps, P = float(meta["epsilon"]), int(meta["n_packets"])
         n = packet_count(eps)
-    except (ConfigurationError, TypeError, ValueError) as exc:
+    except (ConfigurationError, OverflowError, TypeError, ValueError) as exc:
         raise StrategyFormatError(f"{_meta_path(path)}: {exc}") from None
     if n != P:
         raise StrategyFormatError(
@@ -197,6 +199,6 @@ def load_strategy(path) -> StrategyTable:
             f"{path}: table has {lin.size} rows, the lattice needs {expected}"
         )
 
-    actions = np.zeros((P + 1, P + 1, n_u), dtype=np.int8)
-    actions[k1, k2, iu] = act.astype(np.int8)
-    return StrategyTable(epsilon=eps, grid=grid, actions=actions)
+    arm1 = np.zeros((P + 1, P + 1, n_u), dtype=bool)
+    arm1[k1, k2, iu] = act == 1
+    return StrategyTable(epsilon=eps, grid=grid, arm1=arm1)

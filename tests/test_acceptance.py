@@ -153,7 +153,7 @@ def test_c07_solver_matches_quadrature_oracle_everywhere():
 
 def test_c08_always_first_arm_loses_the_gap():
     grid = UGrid()
-    always1 = EvalStrategy.constant(1.0, epsilon=EPS, grid=grid)
+    always1 = EvalStrategy.constant(1, epsilon=EPS, grid=grid)
     for d in (0.5, 1.0, 2.0):
         loss = evaluate(always1, SymmetricPrior.two_point(d)).total_loss
         assert loss == pytest.approx(d, abs=0.01)

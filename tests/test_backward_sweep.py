@@ -27,13 +27,11 @@ def test_risks_are_pinned():
     for d, want in ((0.8, 0.5489550501210245), (4.0, 0.8780110953028278)):
         ev = evaluate(frozen, SymmetricPrior.two_point(d))
         assert ev.total_loss == pytest.approx(want, abs=1e-12)
-    mixed = EvalStrategy.constant(0.3, epsilon=0.1, grid=GRID)
-    assert evaluate(mixed, TWO_ATOM).total_loss == pytest.approx(1.3599998586095035, abs=1e-12)
 
 
 def test_retaining_values_does_not_change_the_actions():
     cfg = DpConfig(0.2, SymmetricPrior.two_point(1.4), UGrid(2.0, 0.04))
     full = solve_invariant(cfg, keep_values=True)
     lean = solve_invariant(cfg)
-    assert (full.strategy.actions == lean.strategy.actions).all()
+    assert (full.strategy.arm1 == lean.strategy.arm1).all()
     assert full.bayes_risk == lean.bayes_risk

@@ -140,7 +140,7 @@ def test_export_strategy_round_trip(tmp_path):
     direct = solve_invariant(
         DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(2.0, 0.05))
     ).strategy
-    assert np.array_equal(loaded.actions, direct.actions)
+    assert np.array_equal(loaded.arm1, direct.arm1)
     a = simulate_gaussian(10, 1.6, loaded, 2000, seed=3)
     b = simulate_gaussian(10, 1.6, direct, 2000, seed=3)
     assert a.normalized_loss_mean == b.normalized_loss_mean
@@ -213,6 +213,32 @@ def test_simulate_missing_meta_sidecar(tmp_path, capsys):
     rc = main(["simulate", "--t", "1000", "--m", "100", "--strategy", str(path)])
     assert rc == 2
     assert "metadata" in capsys.readouterr().err
+
+
+def _export_tenth(tmp_path):
+    path = tmp_path / "s.csv"
+    assert main(["export-strategy", "--epsilon", "0.1", "--d", "1.6",
+                 "--u-max", "2.0", "--du", "0.05", "--out", str(path)]) == 0
+    return path
+
+
+def test_simulate_sidecar_that_is_a_json_list_exits_2(tmp_path, capsys):
+    path = _export_tenth(tmp_path)
+    meta = tmp_path / "s.meta.json"
+    meta.write_text(json.dumps([json.loads(meta.read_text())]))
+    rc = main(["simulate", "--t", "1000", "--m", "100", "--strategy", str(path)])
+    assert rc == 2
+    assert "s.meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("d", ["nan", "inf"])
+def test_simulate_non_finite_d_exits_2(tmp_path, capsys, model, d):
+    path = _export_tenth(tmp_path)
+    rc = main(["simulate", "--model", model, "--d", d, "--t", "1000", "--m", "100",
+               "--strategy", str(path), "--reps", "10"])
+    assert rc == 2
+    assert "d must be finite" in capsys.readouterr().err
 
 
 def test_figure1_csv_shape_and_determinism(tmp_path):

@@ -107,12 +107,12 @@ def test_tie_break_and_sign_convention():
     out = solve_invariant(DpConfig(1.0 / 3.0, SymmetricPrior.two_point(1.2), grid))
     st = out.strategy
     center = grid.n_half
-    assert st.actions[1, 1, center] == 1
+    assert st.arm1[1, 1, center]
     # large positive u favors arm 1, large negative favors arm 2
-    assert st.actions[1, 1, -1] == 1
-    assert st.actions[1, 1, 0] == 2
-    assert st.actions[1, 1, grid.nearest_index(1.9)] == 1
-    assert st.actions[1, 1, grid.nearest_index(-1.9)] == 2
+    assert st.arm1[1, 1, -1]
+    assert not st.arm1[1, 1, 0]
+    assert st.arm1[1, 1, grid.nearest_index(1.9)]
+    assert not st.arm1[1, 1, grid.nearest_index(-1.9)]
 
 
 def test_strategy_symmetry_modulo_exact_ties():
@@ -122,9 +122,9 @@ def test_strategy_symmetry_modulo_exact_ties():
     for (k1, k2) in out.slices:
         if not (2 <= k1 + k2 <= P - 1):
             continue
-        a = out.strategy.actions[k1, k2]
-        b = out.strategy.actions[k2, k1][::-1]
-        disagree = a != (3 - b)
+        a = out.strategy.arm1[k1, k2]
+        b = out.strategy.arm1[k2, k1][::-1]
+        disagree = a != ~b  # the mirrored state plays the other arm
         if np.any(disagree):
             # disagreements are only allowed at exact value ties
             row = out.slices[(k1, k2)]

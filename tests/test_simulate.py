@@ -27,8 +27,8 @@ def expected_loss_16(table50):
 
 
 def ones_table(n_packets: int, grid: UGrid) -> StrategyTable:
-    actions = np.ones((n_packets + 1, n_packets + 1, grid.n_points), dtype=np.int8)
-    return StrategyTable(epsilon=1.0 / n_packets, grid=grid, actions=actions)
+    arm1 = np.ones((n_packets + 1, n_packets + 1, grid.n_points), dtype=bool)
+    return StrategyTable(epsilon=1.0 / n_packets, grid=grid, arm1=arm1)
 
 
 def test_identical_seeds_reproduce_bitwise(table50):

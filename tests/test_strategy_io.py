@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
+from batchbandit.core import SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, StrategyTable, solve_invariant
 from batchbandit.strategy_io import (
     STRATEGY_FORMAT_VERSION,
@@ -32,7 +32,7 @@ def test_round_trip_is_exact(solved, tmp_path):
     assert loaded.epsilon == EPS
     assert loaded.grid == GRID
     assert loaded.n_packets == solved.strategy.n_packets
-    assert np.array_equal(loaded.actions, solved.strategy.actions)
+    assert np.array_equal(loaded.arm1, solved.strategy.arm1)
 
 
 def test_meta_records_the_run(solved, tmp_path):
@@ -49,22 +49,12 @@ def test_meta_records_the_run(solved, tmp_path):
 
 
 def test_no_decision_states_round_trips(tmp_path):
-    table = StrategyTable(
-        epsilon=0.5, grid=GRID, actions=np.zeros((3, 3, GRID.n_points), dtype=np.int8)
-    )
+    table = StrategyTable(epsilon=0.5, grid=GRID, arm1=np.zeros((3, 3, GRID.n_points), dtype=bool))
     path = tmp_path / "tiny.csv"
     save_strategy(table, path, SymmetricPrior.two_point(1.0))
     loaded = load_strategy(path)
     assert loaded.n_packets == 2
-    assert not loaded.actions.any()
-
-
-def test_save_rejects_undefined_states():
-    # a table with an undefined decision state cannot be built, so none is saved
-    actions = np.ones((5, 5, GRID.n_points), dtype=np.int8)
-    actions[2, 1, 7] = 0
-    with pytest.raises(ConfigurationError, match=r"undefined at state \(2, 1\)"):
-        StrategyTable(epsilon=0.25, grid=GRID, actions=actions)
+    assert not loaded.arm1.any()
 
 
 def _saved(solved, tmp_path):
@@ -143,6 +133,23 @@ def test_bad_format_version(solved, tmp_path):
     meta["format_version"] = 99
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(StrategyFormatError, match="format_version"):
+        load_strategy(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda meta: dict(meta, grid=dict(meta["grid"], u_max="abc")),
+        lambda meta: dict(meta, n_packets=float("inf")),
+        lambda meta: [meta],
+    ],
+    ids=["non-numeric-grid", "infinite-packet-count", "list-sidecar"],
+)
+def test_malformed_sidecar_is_a_format_error_naming_it(solved, tmp_path, mutate):
+    path = _saved(solved, tmp_path)
+    meta_path = tmp_path / "s.meta.json"
+    meta_path.write_text(json.dumps(mutate(json.loads(meta_path.read_text()))))
+    with pytest.raises(StrategyFormatError, match=r"s\.meta\.json"):
         load_strategy(path)
 
 
