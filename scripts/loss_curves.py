@@ -13,6 +13,7 @@ simulation column should track the frozen one within a few standard errors.
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.search import scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli
 from batchbandit.strategy_eval import EvalStrategy, risk_curve
+from batchbandit.strategy_io import atomic_write
 
 HEADER = (
     "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init,"
@@ -62,26 +64,27 @@ def main(argv=None):
     ds = np.arange(args.d_min, args.d_max + 1e-9, args.step)
     rows = risk_curve(ds, args.epsilon, strategy=EvalStrategy.from_table(table))
 
-    with open(args.out, "w") as fh:
-        fh.write(HEADER + "\n")
-        for i, row in enumerate(rows):
-            sim = ["", ""]
-            if args.sim_every and i % args.sim_every == 0:
-                cfg = BatchTrialConfig(
-                    n_items=args.t,
-                    batch_size=args.m,
-                    p=args.p,
-                    d=row.d,
-                    replications=args.reps,
-                    seed=args.seed + i,
-                )
-                res = simulate_bernoulli(cfg, table)
-                sim = [f"{res.normalized_loss_mean:.6g}", f"{res.standard_error:.6g}"]
-            fh.write(
-                f"{row.d:.6g},{row.bayes_risk:.6g},{row.expected_loss:.6g},"
-                f"{row.bayes_risk_no_init:.6g},{row.expected_loss_no_init:.6g},"
-                f"{sim[0]},{sim[1]}\n"
+    lines = [HEADER]
+    for i, row in enumerate(rows):
+        sim = ["", ""]
+        if args.sim_every and i % args.sim_every == 0:
+            cfg = BatchTrialConfig(
+                n_items=args.t,
+                batch_size=args.m,
+                p=args.p,
+                d=row.d,
+                replications=args.reps,
+                seed=args.seed + i,
             )
+            res = simulate_bernoulli(cfg, table)
+            sim = [f"{res.normalized_loss_mean:.6g}", f"{res.standard_error:.6g}"]
+        lines.append(
+            f"{row.d:.6g},{row.bayes_risk:.6g},{row.expected_loss:.6g},"
+            f"{row.bayes_risk_no_init:.6g},{row.expected_loss_no_init:.6g},"
+            f"{sim[0]},{sim[1]}"
+        )
+    text = "\n".join(lines) + "\n"
+    atomic_write(Path(args.out), lambda tmp: tmp.write_text(text))
     print(f"{args.out}: {len(rows)} rows, strategy frozen at d={freeze_d:.4g}")
     return 0
 

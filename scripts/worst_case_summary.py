@@ -15,8 +15,10 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from batchbandit.search import refine, saddle_check, scan
+from batchbandit.strategy_io import atomic_write
 
 
 def main(argv=None):
@@ -72,8 +74,7 @@ def main(argv=None):
     summary["seconds"] = round(time.perf_counter() - t0, 2)
     text = json.dumps(summary, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        atomic_write(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
     else:
         print(text)
     return 0

@@ -93,6 +93,8 @@ class UGrid:
             raise ConfigurationError("du must be positive and finite")
         if not (self.u_max > 0.0 and math.isfinite(self.u_max)):
             raise ConfigurationError("u_max must be positive and finite")
+        if not math.isfinite(self.u_max / self.du):
+            raise ConfigurationError(f"u_max / du overflows: {self.u_max} / {self.du}")
         n_half = int(round(self.u_max / self.du))
         if abs(n_half * self.du - self.u_max) > 1e-9 * max(1.0, self.u_max):
             n_half = int(math.ceil(self.u_max / self.du - 1e-12))

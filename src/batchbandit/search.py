@@ -113,9 +113,12 @@ class RefineResult:
 
 def golden_section_max(fn, a: float, b: float, tolerance: float):
     """Golden-section maximization on [a, b]; returns the best point actually
-    evaluated, its value and the evaluation count."""
+    evaluated, its value and the evaluation count.  It also stops once the
+    probes reach the bracket's float resolution."""
     if not (a < b):
         raise ConfigurationError(f"need a < b, got [{a}, {b}]")
+    if not tolerance > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
     best_x, best_y = None, -math.inf
     evals = 0
 
@@ -130,7 +133,7 @@ def golden_section_max(fn, a: float, b: float, tolerance: float):
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     yc, yd = probe(c), probe(d)
-    while b - a > tolerance:
+    while b - a > tolerance and a < c < d < b:
         if yc >= yd:
             b, d, yd = d, c, yc
             c = b - _INV_PHI * (b - a)
@@ -152,6 +155,8 @@ def refine(curve: ScanCurve, tolerance: float = 0.01, *, risk_fn=None) -> Refine
     """
     if not curve.points:
         raise ConfigurationError("cannot refine an empty curve")
+    if not tolerance > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
     i = curve.best_index()
     top = curve.points[i]
     if i == 0 or i == len(curve.points) - 1:

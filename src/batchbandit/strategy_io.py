@@ -5,8 +5,8 @@ A table is a CSV `k1,k2,u_index,action`, action being the arm played (1 or
 grid index) plus a JSON sidecar <name>.meta.json recording epsilon, the
 grid, the prior the table was solved under, the tie-break rule and a
 format version.  CSV keeps the tables human-diffable; the default lattice
-is about a million short rows.  Writes go through a temp file and rename,
-so a failed run leaves no partial output.
+is about a million short rows, written state by state in sweep order
+through a temp file and rename, so a failed run leaves no partial output.
 """
 
 from __future__ import annotations
@@ -49,21 +49,6 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
     records the prior the table was solved under."""
     path = Path(path)
     P, n_u = table.n_packets, table.grid.n_points
-    blocks = []
-    for K in range(2, P):
-        for k1 in range(K + 1):
-            blocks.append(
-                np.column_stack(
-                    [
-                        np.full(n_u, k1, dtype=np.int64),
-                        np.full(n_u, K - k1, dtype=np.int64),
-                        np.arange(n_u, dtype=np.int64),
-                        2 - table.arm1[k1, K - k1].astype(np.int64),
-                    ]
-                )
-            )
-    rows = np.concatenate(blocks) if blocks else np.empty((0, 4), dtype=np.int64)
-
     meta = {
         "format_version": STRATEGY_FORMAT_VERSION,
         "epsilon": table.epsilon,
@@ -76,26 +61,28 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
         "tie_break": "prefer-action-1",
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
-    atomic_write(
-        path, lambda tmp: np.savetxt(tmp, rows, fmt="%d", delimiter=",", header=_HEADER, comments="")
-    )
+
+    def write_rows(tmp: Path) -> None:
+        with open(tmp, "w") as fh:
+            fh.write(_HEADER + "\n")
+            for K in range(2, P):
+                for k1 in range(K + 1):
+                    acts = (2 - table.arm1[k1, K - k1].astype(np.int64)).tolist()
+                    fh.write("".join(f"{k1},{K - k1},{i},{a}\n" for i, a in enumerate(acts)))
+
+    atomic_write(path, write_rows)
     atomic_write(
         _meta_path(path), lambda tmp: tmp.write_text(json.dumps(meta, indent=2) + "\n")
     )
 
 
 def _parse_rows_with_diagnostics(path: Path) -> np.ndarray:
-    """Line-by-line fallback that names the first offending line and field."""
+    """Line-by-line fallback naming the first bad line and field past the header."""
     rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if lineno == 1:
-                if line != _HEADER:
-                    raise StrategyFormatError(
-                        f"{path}: line 1: expected header {_HEADER!r}, got {line!r}"
-                    )
-                continue
             if not line:
                 continue
             fields = line.split(",")
@@ -167,17 +154,16 @@ def load_strategy(path) -> StrategyTable:
         has_data = any(line.strip() for line in fh)
     if first != _HEADER:
         raise StrategyFormatError(f"{path}: line 1: expected header {_HEADER!r}, got {first!r}")
+    rows = np.empty((0, 4), dtype=np.int64)
     if has_data:
         try:
             rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
         except ValueError:
             rows = _parse_rows_with_diagnostics(path)
-    else:
-        rows = np.empty((0, 4), dtype=np.int64)
-    if rows.size and rows.shape[1] != 4:
+    if rows.shape[1] != 4:
         raise StrategyFormatError(f"{path}: expected 4 columns, got {rows.shape[1]}")
 
-    k1, k2, iu, act = rows.T if rows.size else (np.array([], dtype=np.int64),) * 4
+    k1, k2, iu, act = rows.T
     K = k1 + k2
     for name, bad in (
         ("negative k1/k2", (k1 < 0) | (k2 < 0)),
@@ -188,16 +174,18 @@ def load_strategy(path) -> StrategyTable:
         if bad.any():
             lineno = int(np.argmax(bad)) + 2
             raise StrategyFormatError(f"{path}: line {lineno}: {name}")
-    lin = (k1 * (P + 1) + k2) * n_u + iu
-    if np.unique(lin).size != lin.size:
-        order = np.argsort(lin, kind="stable")
-        dup = order[np.nonzero(np.diff(lin[order]) == 0)[0][0] + 1]
-        raise StrategyFormatError(f"{path}: line {int(dup) + 2}: duplicate state row")
-    expected = n_u * sum(K_ + 1 for K_ in range(2, P))
-    if lin.size != expected:
+    # The decision states number n_u * (3 + 4 + ... + P) and every row names one by now,
+    # so surplus rows repeat one; a short table is refused before anything of lattice size.
+    expected = n_u * (P * (P + 1) // 2 - 3)
+    if k1.size < expected:
         raise StrategyFormatError(
-            f"{path}: table has {lin.size} rows, the lattice needs {expected}"
+            f"{path}: table has {k1.size} rows, the lattice needs {expected}"
         )
+    lin = (k1 * (P + 1) + k2) * n_u + iu
+    repeated = np.bincount(lin) > 1
+    if repeated.any():
+        dup = np.flatnonzero(lin == np.argmax(repeated))[1]
+        raise StrategyFormatError(f"{path}: line {int(dup) + 2}: duplicate state row")
 
     arm1 = np.zeros((P + 1, P + 1, n_u), dtype=bool)
     arm1[k1, k2, iu] = act == 1

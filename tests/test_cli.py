@@ -48,6 +48,12 @@ def test_solve_needs_a_prior(capsys):
     assert "--d or --prior-file" in capsys.readouterr().err
 
 
+def test_solve_grid_whose_point_count_overflows_exits_2(capsys):
+    rc = main(["solve", "--epsilon", "0.5", "--d", "1", "--u-max", "1e308", "--du", "1e-300"])
+    assert rc == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_validation_failure_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "x.json"
     rc = main(["solve", "--epsilon", "0.3", "--d", "1.0", "--out", str(out)])
@@ -293,6 +299,19 @@ def test_search_multi_atom_needs_dp(capsys):
     rc = main(["search", "--backend", "pde", "--epsilon", "0.01",
                "--multi-atom", "2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--epsilon", "0.25", "--u-max", "2", "--du", "0.1"],
+        ["--epsilon", "0.02", "--u-max", "3", "--du", "0.1"],
+    ],
+    ids=["boundary-maximum", "interior-maximum"],
+)
+def test_search_non_positive_tolerance_exits_2(capsys, argv):
+    assert main(["search", *argv, "--tolerance", "0"]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
 
 
 def test_search_fills_a_half_given_grid_from_the_backend_default(capsys):

@@ -202,6 +202,10 @@ class TestUGrid:
         with pytest.raises(ValueError):
             UGrid(0.0, 0.1)
 
+    def test_rejects_a_point_count_that_overflows(self):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            UGrid(1e308, 1e-300)
+
 
 class TestPrior:
     def test_two_point_and_mean(self):

@@ -4,6 +4,10 @@ import json
 import runpy
 from pathlib import Path
 
+import pytest
+
+from batchbandit.core import ConfigurationError
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -35,3 +39,14 @@ def test_loss_curves(tmp_path):
         d, bayes, frozen, bayes_ni, frozen_ni, sim_mean, sim_se = map(float, row.split(","))
         assert frozen >= bayes - 1e-5
         assert sim_se > 0.0 and abs(sim_mean - frozen) < 5.0 * sim_se + 1e-3
+
+
+def test_loss_curves_failure_leaves_no_output(tmp_path):
+    out = tmp_path / "curves.csv"
+    main = script_main("loss_curves.py")
+    argv = ["--epsilon", "0.25", "--t", "8", "--m", "2", "--d-min", "0.5", "--d-max", "4",
+            "--step", "0.5", "--sim-every", "1", "--freeze-d", "1.0", "--reps", "50",
+            "--out", str(out)]
+    with pytest.raises(ConfigurationError):
+        main(argv)
+    assert not out.exists()

@@ -68,6 +68,26 @@ def test_golden_section_recovers_analytic_maximum():
     assert evals > 10
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+def test_golden_section_rejects_a_tolerance_that_is_not_positive(tolerance):
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        golden_section_max(lambda x: -x * x, -1.0, 1.0, tolerance)
+
+
+def test_golden_section_stops_at_the_brackets_float_resolution():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise RuntimeError("golden section kept probing past the float resolution")
+        return -((x - 0.7) ** 2)
+
+    x, y, evals = golden_section_max(f, 0.0, 2.0, 1e-300)
+    assert evals == len(calls) <= 200
+    assert x == pytest.approx(0.7, abs=1e-12)
+
+
 def test_refine_recovers_injected_concave_maximum():
     f = lambda d: 1.0 - (d - 1.37) ** 2
     points = tuple(ScanPoint(d=d, risk=f(d)) for d in np.arange(0.5, 2.51, 0.25))
