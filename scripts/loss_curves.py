@@ -15,11 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from batchbandit.cli import exit_code
 from batchbandit.core import SymmetricPrior
 from batchbandit.dp import DpConfig, solve_invariant
-from batchbandit.search import scan
+from batchbandit.search import d_range, scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli
 from batchbandit.strategy_eval import EvalStrategy, risk_curve
 from batchbandit.strategy_io import atomic_write
@@ -52,6 +51,26 @@ def main(argv=None):
 
     if args.sim_every and abs(args.m / args.t - args.epsilon) > 1e-9:
         ap.error(f"--t/--m imply epsilon {args.m / args.t}, not {args.epsilon}")
+    return exit_code(lambda: write_curves(args))
+
+
+def write_curves(args) -> None:
+    ds = d_range(args.d_min, args.d_max, args.step)
+
+    def trial(i: int) -> BatchTrialConfig:
+        return BatchTrialConfig(
+            n_items=args.t,
+            batch_size=args.m,
+            p=args.p,
+            d=ds[i],
+            replications=args.reps,
+            seed=args.seed + i,
+        )
+
+    if args.sim_every:
+        # the arm probabilities p +- delta spread with d: the largest simulated
+        # d fails first, so check it before anything is solved
+        trial((len(ds) - 1) // args.sim_every * args.sim_every)
 
     if args.freeze_d is not None:
         freeze_d = args.freeze_d
@@ -61,22 +80,13 @@ def main(argv=None):
         DpConfig(args.epsilon, SymmetricPrior.two_point(freeze_d))
     ).strategy
 
-    ds = np.arange(args.d_min, args.d_max + 1e-9, args.step)
     rows = risk_curve(ds, args.epsilon, strategy=EvalStrategy.from_table(table))
 
     lines = [HEADER]
     for i, row in enumerate(rows):
         sim = ["", ""]
         if args.sim_every and i % args.sim_every == 0:
-            cfg = BatchTrialConfig(
-                n_items=args.t,
-                batch_size=args.m,
-                p=args.p,
-                d=row.d,
-                replications=args.reps,
-                seed=args.seed + i,
-            )
-            res = simulate_bernoulli(cfg, table)
+            res = simulate_bernoulli(trial(i), table)
             sim = [f"{res.normalized_loss_mean:.6g}", f"{res.standard_error:.6g}"]
         lines.append(
             f"{row.d:.6g},{row.bayes_risk:.6g},{row.expected_loss:.6g},"
@@ -86,7 +96,6 @@ def main(argv=None):
     text = "\n".join(lines) + "\n"
     atomic_write(Path(args.out), lambda tmp: tmp.write_text(text))
     print(f"{args.out}: {len(rows)} rows, strategy frozen at d={freeze_d:.4g}")
-    return 0
 
 
 if __name__ == "__main__":

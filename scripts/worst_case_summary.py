@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from batchbandit.cli import exit_code
 from batchbandit.search import refine, saddle_check, scan
 from batchbandit.strategy_io import atomic_write
 
@@ -35,7 +36,10 @@ def main(argv=None):
     ap.add_argument("--skip-saddle", action="store_true")
     ap.add_argument("--out", help="summary JSON path (default: stdout)")
     args = ap.parse_args(argv)
+    return exit_code(lambda: summarize(args))
 
+
+def summarize(args) -> None:
     t0 = time.perf_counter()
     curve = scan(args.d_min, args.d_max, args.step, backend="dp", epsilon=args.epsilon)
     dp_res = refine(curve, tolerance=args.tolerance)
@@ -77,7 +81,6 @@ def main(argv=None):
         atomic_write(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
     else:
         print(text)
-    return 0
 
 
 if __name__ == "__main__":

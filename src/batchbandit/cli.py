@@ -313,6 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_code(run: Callable[[], None]) -> int:
+    """run()'s exit code (see the module docstring), a failure printed as one stderr line."""
+    try:
+        run()
+        return 0
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -320,7 +333,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     command = COMMANDS[args.command]
-    try:
+
+    def run() -> None:
         cfg = resolve(command, args)
         summary = command.run(cfg)
         if summary is not None:
@@ -329,13 +343,8 @@ def main(argv=None) -> int:
                 atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
             else:
                 sys.stdout.write(text)
-        return 0
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+
+    return exit_code(run)
 
 
 if __name__ == "__main__":

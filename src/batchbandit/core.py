@@ -157,9 +157,12 @@ def loss_profile(prior: SymmetricPrior, ell: int, u, t1, t2) -> np.ndarray:
     if tau.ndim:
         tau = tau[:, None]
     u = np.asarray(u, dtype=float)
-    out = np.zeros(np.broadcast_shapes(u.shape, tau.shape))
-    for w, p in prior.atoms:
-        out += (p * w) * np.exp(np.minimum(sign * w * u - 2.0 * w * w * tau, EXP_CLIP))
+    out = None
+    for w, p in prior.atoms:  # one temporary per atom; the first (>= 0) becomes the sum
+        term = np.asarray(sign * w * u - 2.0 * w * w * tau)  # scalar inputs stay 0-d
+        np.exp(np.minimum(term, EXP_CLIP, out=term), out=term)
+        term *= p * w
+        out = term if out is None else np.add(out, term, out=out)
     return out
 
 

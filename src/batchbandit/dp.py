@@ -17,11 +17,11 @@ Bayes risk assembles from the slice (eps, eps):
 Convolutions use discrete Gaussian weights at grid offsets (no interpolation)
 with Dirichlet-0 reads beyond +-u_max.
 
-backward_sweep is the one implementation of that walk.  It takes the
-successor expectation and the combination of the two action values as
-callbacks: solve_invariant convolves and takes the argmin, recording it as
-the StrategyTable's arm-1 mask; pde.solve_pde swaps in a 3-tap stencil;
-strategy_eval.evaluate convolves and plays the arm a fixed table picks.
+backward_sweep is the one implementation of that walk, with one callback
+per diagonal, step(K, succ, half).  gaussian_step convolves for
+solve_invariant, which takes the argmin and records it as the StrategyTable's
+arm-1 mask, and for strategy_eval.evaluate, which plays the arm a fixed
+table picks; pde.solve_pde steps a 3-tap stencil on half the rows.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def backward_sweep(
     n_packets: int,
     grid: UGrid,
     prior: SymmetricPrior,
-    expect,
-    combine,
+    step,
     *,
     keep_values: bool = False,
 ) -> tuple[dict[tuple[int, int], np.ndarray], float, float]:
@@ -127,13 +126,12 @@ def backward_sweep(
     stage).
 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
-    Each step fills l1 = eps*g1 and l2 = eps*g2 from one loss_profile call on
-    the half rows k1 <= K/2: g1 depends on (t1, t2) only through
-    tau = t1*t2/t, which is bitwise the same on rows k1 and K - k1, so row
-    K - k1 copies row k1 (and g2 is g1 mirrored in u).  It then lets
-    expect(K, succ, l1, l2) add the expectations of the successor diagonal
-    succ in place, and takes the diagonal's values from combine(K, l1, l2).
-    slices holds every diagonal with keep_values, otherwise only (1, 1).
+    half = eps*g1 covers the rows k1 <= K/2 only: g1 depends on (t1, t2) only
+    through tau = t1*t2/t, bitwise the same on rows k1 and K - k1, and g2 is
+    g1 mirrored in u.  step(K, succ, half) may overwrite half; it returns the
+    K + 1 rows of diagonal K, or fewer when rows k1 > K/2 mirror rows K - k1.
+    slices holds every diagonal with keep_values (a mirror as a reversed
+    view), otherwise only (1, 1).
     """
     u = grid.points
     succ = np.zeros((n_packets + 1, u.size))
@@ -144,38 +142,45 @@ def backward_sweep(
         j = np.arange(K // 2 + 1)
         half = loss_profile(prior, 1, u, j * epsilon, (K - j) * epsilon)
         half *= epsilon
-        k1 = np.arange(K + 1)
-        l1 = half[np.minimum(k1, K - k1)]
-        l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
-        expect(K, succ, l1, l2)
-        cur = combine(K, l1, l2)
+        cur = step(K, succ, half)
         if np.isnan(cur).any():
             raise InternalError(f"NaN in value slice at diagonal {K}")
         if keep_values:
-            slices.update(((i, K - i), cur[i]) for i in range(K + 1))
+            own = K + 1 if len(cur) == K + 1 else K // 2 + 1  # the rows not mirrored
+            for i in range(K + 1):
+                slices[(i, K - i)] = cur[i] if i < own else cur[K - i, ::-1]
         succ = cur
     # after the loop succ is diagonal 2 (or the terminal one when P == 2);
     # its row 1 is the (eps, eps) slice the risk assembly needs
     slices.setdefault((1, 1), succ[1])
-    return (slices, *_assemble(succ[1], grid, epsilon, prior))
+    no_initial = centered_gaussian_expectation(succ[1], grid, 0.5 * epsilon)
+    total = no_initial + 2.0 * epsilon * prior.mean_w
+    if not (math.isfinite(total) and total >= 0.0):
+        raise InternalError(f"assembled risk is not a nonnegative number: {total}")
+    return slices, total, no_initial
 
 
-def gaussian_expectations(epsilon: float, grid: UGrid):
-    """backward_sweep's expect for the exact recursion: each row adds its two
-    successor rows convolved with the transition kernels."""
+def gaussian_step(epsilon: float, grid: UGrid, combine):
+    """backward_sweep's step for the exact recursion: both actions' rows add
+    their successor rows convolved with the transition kernels, and
+    combine(K, l1, l2) turns the two action values into the diagonal's."""
 
-    def expect(K, succ, l1, l2):
+    def step(K, succ, half):
         t = K * epsilon
         # kernel for a j-batch opposite arm; the same set serves both actions
         kernels = [
             gaussian_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
             for j in range(K + 1)
         ]
+        k1 = np.arange(K + 1)
+        l1 = half[np.minimum(k1, K - k1)]
+        l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
         for k1 in range(K + 1):
             l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
             l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
+        return combine(K, l1, l2)
 
-    return expect
+    return step
 
 
 def solve_invariant(
@@ -200,20 +205,9 @@ def solve_invariant(
         return np.where(take1, l1, l2)
 
     slices, total, no_initial = backward_sweep(
-        eps, P, grid, prior, gaussian_expectations(eps, grid), argmin, keep_values=keep_values
+        eps, P, grid, prior, gaussian_step(eps, grid, argmin), keep_values=keep_values
     )
     strategy = StrategyTable(epsilon=eps, grid=grid, arm1=arm1) if keep_strategy else None
     return SolveOutput(
         slices=slices, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
     )
-
-
-def _assemble(
-    row: np.ndarray, grid: UGrid, epsilon: float, prior: SymmetricPrior
-) -> tuple[float, float]:
-    no_initial = centered_gaussian_expectation(row, grid, 0.5 * epsilon)
-    total = no_initial + 2.0 * epsilon * prior.mean_w
-    if not (math.isfinite(total) and total >= 0.0):
-        raise InternalError(f"assembled risk is not a nonnegative number: {total}")
-    return total, no_initial
-

@@ -10,15 +10,17 @@ the exact solver but replaces the convolution with a discrete Laplacian:
 with Dirichlet 0 beyond +-u_max.  The scheme is monotone iff eps <= du^2
 (worst case c_l = 1/2), which the configuration enforces; coarser u-grids
 are the price of small eps here, the exact solver has no such coupling.
-The march is dp.backward_sweep with the stencil as its expectation and a
-plain minimum, pinned to 0 at +-u_max, as its combination.
+The march is dp.backward_sweep with one step: the stencil, then a plain
+minimum of the two actions pinned to 0 at +-u_max.
 
-The stencil updates only rows k1 <= K/2 of each anti-diagonal and mirrors
-the rest by arm-swap symmetry, r_1(u, k1, k2) = r_2(-u, k2, k1).  That is
-exact for the scheme: the u-grid is symmetric about 0, and tau = t1*t2/t,
-hence the one-step loss, and c_l are symmetric in (t1, t2).  A full-lattice
-march differs from the mirrored rows only in the rounding of the
-Laplacian's sum order, at the last bit.
+The step computes only the H = K//2 + 1 rows k1 <= K/2 of each diagonal and
+mirrors the rest by arm-swap symmetry, r(u, k1, k2) = r(-u, k2, k1), exact
+for the scheme: the u-grid is symmetric about 0, and tau = t1*t2/t, hence
+the one-step loss, and c_l are symmetric in (t1, t2).  Both actions share
+one second difference of the successor rows 0 .. H; for odd K the step also
+returns row H, the one mirrored row the next diagonal reads.  A full-lattice
+march differs from the mirrors only in the Laplacian's rounding, at the
+last bit.
 """
 
 from __future__ import annotations
@@ -76,41 +78,33 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     """March the explicit scheme backward and assemble the limit risk.
 
     keep_values retains every diagonal slice; at small eps that is a large
-    table (about n_packets^2 / 2 rows), so keep it for coarse lattices only.
+    table (about n_packets^2 / 4 rows, the rest being reversed views), so
+    keep it for coarse lattices only.
     """
     P = config.n_packets
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
 
-    def stencil(K, succ, l1, l2):
-        # march rows k1 <= K/2 only: by arm-swap symmetry row K - j of one
-        # action is row j of the other reversed in u, exact because the grid
-        # is symmetric about 0 and tau and c_l are symmetric in (t1, t2)
+    def step(K, succ, half):
         H = K // 2 + 1
         t = K * eps
-        k1 = np.arange(H)
-        t1 = k1 * eps
-        t2 = (K - k1) * eps
-        c1 = (t2 * t2 / (2.0 * t * (t + eps)))[:, None]
-        c2 = (t1 * t1 / (2.0 * t * (t + eps)))[:, None]
-        for out, x, c in ((l1[:H], succ[1 : H + 1], c1), (l2[:H], succ[:H], c2)):
-            # one scratch block per action, rounding as (x[i-1] - 2 x[i]) + x[i+1]
-            lap = x[:, 1:-1] * -2.0
-            lap += x[:, :-2]
-            lap += x[:, 2:]
-            lap *= (eps * inv_du2) * c
-            out += x
-            out[:, 1:-1] += lap
-        l1[H:] = l2[K - H :: -1, ::-1]
-        l2[H:] = l1[K - H :: -1, ::-1]
-
-    def minimum(K, l1, l2):
-        cur = np.minimum(l1, l2)
-        cur[:, 0] = 0.0
-        cur[:, -1] = 0.0
+        tj = np.arange(K + 1) * eps  # c_l of a j-batch opposite arm: j = K - k1 (arm 1), k1
+        c = ((eps * inv_du2) * (tj * tj / (2.0 * t * (t + eps))))[:, None]
+        x = succ[: H + 1]
+        d2 = x[:, 1:-1] * -2.0  # rounded as (x[i-1] - 2 x[i]) + x[i+1]
+        d2 += x[:, :-2]
+        d2 += x[:, 2:]
+        cur = np.empty((H + K % 2, x.shape[1]))
+        r2 = np.add(half[:, ::-1], x[:H], out=cur[:H])  # sign flip in u swaps the actions
+        lap = d2[:H] * c[:H]
+        r2[:, 1:-1] += lap
+        half += x[1:]
+        half[:, 1:-1] += np.multiply(d2[1:], c[K : K - H : -1], out=lap)
+        np.minimum(half, r2, out=r2)
+        r2[:, [0, -1]] = 0.0
+        if K % 2:
+            cur[H] = cur[K - H, ::-1]
         return cur
 
-    slices, total, no_initial = backward_sweep(
-        eps, P, grid, prior, stencil, minimum, keep_values=keep_values
-    )
+    slices, total, no_initial = backward_sweep(eps, P, grid, prior, step, keep_values=keep_values)
     return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial, slices=slices)

@@ -1,7 +1,7 @@
 """Expected loss of a fixed strategy on the invariant scale.
 
-The solver's backward sweep (dp.backward_sweep with the same Gaussian
-expectations), but instead of the argmin each slice plays the arm the
+The solver's backward sweep (dp.backward_sweep through the same
+dp.gaussian_step), but instead of the argmin each slice plays the arm the
 strategy's table picks.  That is the same selection the argmin makes, so
 evaluating the solver's own table reproduces its Bayes risk bit for bit.
 """
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
-from .dp import (
-    DpConfig,
-    StrategyTable,
-    backward_sweep,
-    gaussian_expectations,
-    solve_invariant,
-)
+from .dp import DpConfig, StrategyTable, backward_sweep, gaussian_step, solve_invariant
 
 
 class EvalStrategy(StrategyTable):
@@ -56,7 +50,7 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
         return np.where(strategy.arm1[k1, K - k1], l1, l2)
 
     _, total, no_initial = backward_sweep(
-        eps, strategy.n_packets, grid, prior, gaussian_expectations(eps, grid), play
+        eps, strategy.n_packets, grid, prior, gaussian_step(eps, grid, play)
     )
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 

@@ -62,13 +62,16 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
 
+    tails = [np.array([f"{i},{a}" for i in range(n_u)]) for a in (2, 1)]  # "u_index,action"
+
     def write_rows(tmp: Path) -> None:
         with open(tmp, "w") as fh:
             fh.write(_HEADER + "\n")
             for K in range(2, P):
                 for k1 in range(K + 1):
-                    acts = (2 - table.arm1[k1, K - k1].astype(np.int64)).tolist()
-                    fh.write("".join(f"{k1},{K - k1},{i},{a}\n" for i, a in enumerate(acts)))
+                    prefix = f"{k1},{K - k1},"
+                    row = np.where(table.arm1[k1, K - k1], tails[1], tails[0]).tolist()
+                    fh.write(prefix + ("\n" + prefix).join(row) + "\n")
 
     atomic_write(path, write_rows)
     atomic_write(

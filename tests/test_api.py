@@ -54,3 +54,9 @@ def test_the_tracer_reads_the_arguments_of_every_call_it_describes():
     # the work counts are computed through core.transition_variance and gaussian_kernel
     metrics, _ = tracing.pass_metrics(tracer.spans, 0, 0)
     assert metrics["core.convolve.computed_macs"] > 0
+    # the benchmark pins these call counts: two convolutions per dp and evaluate
+    # row, one loss profile per diagonal of each of the three sweeps
+    rows = sum(K + 1 for K in range(2, 10))  # eps = 0.1: diagonals K = 9 .. 2
+    assert metrics["dp.rows"] == rows
+    assert metrics["core.convolve.calls"] == 2 * (rows + rows)
+    assert metrics["core.loss_profile.calls"] == 3 * 8

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from batchbandit.core import (
+    EXP_CLIP,
     ConfigurationError,
     SymmetricPrior,
     UGrid,
@@ -129,6 +130,43 @@ class TestOneStepLoss:
         for i, u in enumerate(grid.points):
             scalar = float(loss_profile(prior, 2, u, 0.3, 0.2))
             assert row[i] == pytest.approx(scalar, rel=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ws=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3, unique=True),
+        masses=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+        ell=st.sampled_from((1, 2)),
+        u=st.floats(-300.0, 300.0),
+        t1=st.lists(st.floats(0.001, 0.5), min_size=1, max_size=4),
+        t2=st.floats(0.001, 0.5),
+        rows=st.booleans(),
+    )
+    @example([4.0], [1.0, 1.0, 1.0], 1, -300.0, [0.001], 0.001, False)  # 2*w*|u| > EXP_CLIP
+    @example([0.5, 4.0, 2.0], [0.2, 0.3, 0.5], 2, 300.0, [0.1, 0.3], 0.2, True)
+    def test_matches_the_plain_formula_bitwise(self, ws, masses, ell, u, t1, t2, rows):
+        total = sum(masses[: len(ws)])
+        prior = SymmetricPrior(tuple((w, m / total) for w, m in zip(ws, masses)))
+        if rows:  # a block of rows over a u-row, as the sweeps call it
+            args = (np.linspace(-u, u, 7), np.array(t1), np.full(len(t1), t2))
+        else:
+            args = (u, t1[0], t2)
+        sign = -2.0 if ell == 1 else 2.0
+        x, a, b = (np.asarray(v, dtype=float) for v in args)
+        tau = a * b / (a + b)
+        if tau.ndim:
+            tau = tau[:, None]
+        want = sum(
+            (p * w) * np.exp(np.minimum(sign * w * x - 2.0 * w * w * tau, EXP_CLIP))
+            for w, p in prior.atoms
+        )
+        got = loss_profile(prior, ell, *args)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_scalar_inputs_give_a_0d_array(self):
+        for atoms in (((1.6, 1.0),), ((0.8, 0.25), (2.0, 0.75))):
+            got = loss_profile(SymmetricPrior(atoms), 1, 0.3, 0.1, 0.4)
+            assert isinstance(got, np.ndarray) and got.shape == ()
 
 
 class TestGaussianKernel:

@@ -59,6 +59,19 @@ def test_half_lattice_matches_the_full_lattice_march(prior, eps, du, u_max):
             assert np.array_equal(row, sol.slices[(k2, k1)][::-1]), (k1, k2)
 
 
+def test_kept_rows_past_the_half_diagonal_are_reversed_views():
+    sol = solve_pde(PdeConfig(0.05, TWO_ATOM, du=0.25, u_max=2.0), keep_values=True)
+    P = 20
+    mirrored = 0
+    for (k1, k2), row in sol.slices.items():
+        if k1 + k2 < P and k1 > k2:
+            partner = sol.slices[(k2, k1)]
+            assert np.array_equal(row, partner[::-1]), (k1, k2)
+            assert np.shares_memory(row, partner), (k1, k2)
+            mirrored += 1
+    assert mirrored == sum((K + 1) // 2 for K in range(2, P))
+
+
 def test_rejects_unstable_step_pairing():
     prior = SymmetricPrior.two_point(1.57)
     # du^2 = 0.000529 < eps: the monotone explicit step breaks down

@@ -4,10 +4,6 @@ import json
 import runpy
 from pathlib import Path
 
-import pytest
-
-from batchbandit.core import ConfigurationError
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -41,12 +37,29 @@ def test_loss_curves(tmp_path):
         assert sim_se > 0.0 and abs(sim_mean - frozen) < 5.0 * sim_se + 1e-3
 
 
-def test_loss_curves_failure_leaves_no_output(tmp_path):
+def test_loss_curves_failure_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     main = script_main("loss_curves.py")
+    # from d = 3 on the arm probabilities leave (0, 1): refused before the solve,
+    # which here would fail as an internal error (exit 1)
+    main.__globals__["solve_invariant"] = None
     argv = ["--epsilon", "0.25", "--t", "8", "--m", "2", "--d-min", "0.5", "--d-max", "4",
             "--step", "0.5", "--sim-every", "1", "--freeze-d", "1.0", "--reps", "50",
             "--out", str(out)]
-    with pytest.raises(ConfigurationError):
-        main(argv)
+    assert main(argv) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: arm probability") and err.count("\n") == 1
+    for step in ("0", "-0.5"):  # a d range that never reaches --d-max
+        assert main([*argv[:11], step, *argv[12:]]) == 2
+        assert capsys.readouterr().err.startswith("error: step must be positive")
+        assert not out.exists()
+
+
+def test_worst_case_summary_bad_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    main = script_main("worst_case_summary.py")
+    assert main(["--epsilon", "0.3", "--skip-limit", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1/epsilon must be an integer") and err.count("\n") == 1
