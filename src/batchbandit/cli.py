@@ -29,7 +29,7 @@ from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
 from .search import backend_grid, d_range, refine, scan, search_multi_atom
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
-from .strategy_eval import EvalStrategy, evaluate, risk_curve
+from .strategy_eval import EvalStrategy, frozen_losses, risk_curve
 from .strategy_io import atomic_write, load_strategy, save_strategy
 
 _FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
@@ -193,10 +193,11 @@ def _cmd_figure1(cfg: dict) -> None:
     if d_star is None:
         d_star = max(rows, key=lambda r: r.bayes_risk).d  # first maximum, as scan's best()
     table = solve_invariant(DpConfig(eps, SymmetricPrior.two_point(d_star), grid)).strategy
-    frozen = EvalStrategy.from_table(table)
+    played = frozen_losses(
+        EvalStrategy.from_table(table), [SymmetricPrior.two_point(r.d) for r in rows]
+    )
     lines = [_FIGURE1_HEADER]
-    for r in rows:
-        ev = evaluate(frozen, SymmetricPrior.two_point(r.d))
+    for r, ev in zip(rows, played):
         row = (r.d, r.bayes_risk, ev.total_loss, r.bayes_risk_no_init, ev.loss_no_initial)
         lines.append(",".join(_f6(x) for x in row))
     text = "\n".join(lines) + "\n"

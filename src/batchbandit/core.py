@@ -209,11 +209,18 @@ def convolve_zero_padded(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return full[half : half + values.size]
 
 
-def centered_gaussian_expectation(row: np.ndarray, grid: UGrid, variance: float) -> float:
-    """Quadrature of a grid row against the centered Gaussian of the given
-    variance; mass falling beyond the grid reads the row as 0."""
+def centered_gaussian_weights(grid: UGrid, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and kernel weights of the centered Gaussian of the given
+    variance; mass falling beyond the grid is dropped."""
     kern = gaussian_kernel(variance, grid)
     half = kern.size // 2
     idx = grid.n_half + np.arange(-half, half + 1)
-    valid = (idx >= 0) & (idx < row.size)
-    return float(np.dot(kern[valid], row[idx[valid]]))
+    valid = (idx >= 0) & (idx < grid.n_points)
+    return idx[valid], kern[valid]
+
+
+def centered_gaussian_expectation(row: np.ndarray, grid: UGrid, variance: float) -> float:
+    """Quadrature of a grid row against the centered Gaussian of the given
+    variance; mass falling beyond the grid reads the row as 0."""
+    idx, weights = centered_gaussian_weights(grid, variance)
+    return float(np.dot(weights, row[idx]))

@@ -160,18 +160,24 @@ def backward_sweep(
     return slices, total, no_initial
 
 
+def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
+    """Transition kernels from diagonal K to K + 1, indexed by j, the batches
+    on the arm not played: arm 1 moves row k1 through kernel K - k1, arm 2
+    through kernel k1, so the one set serves both actions."""
+    t = K * epsilon
+    return [
+        gaussian_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
+        for j in range(K + 1)
+    ]
+
+
 def gaussian_step(epsilon: float, grid: UGrid, combine):
     """backward_sweep's step for the exact recursion: both actions' rows add
     their successor rows convolved with the transition kernels, and
     combine(K, l1, l2) turns the two action values into the diagonal's."""
 
     def step(K, succ, half):
-        t = K * epsilon
-        # kernel for a j-batch opposite arm; the same set serves both actions
-        kernels = [
-            gaussian_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
-            for j in range(K + 1)
-        ]
+        kernels = diagonal_kernels(epsilon, grid, K)
         k1 = np.arange(K + 1)
         l1 = half[np.minimum(k1, K - k1)]
         l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions

@@ -4,8 +4,9 @@ The minimax risk equals the Bayes risk under the least favorable prior, so
 the search scans the Bayes risk over the gap parameter d, refines the
 interior maximum by golden section (unimodality assumed, the scan guards
 against gross multimodality), and certifies the saddle point by evaluating
-the frozen optimal strategy against shifted priors.  Multi-atom coordinate
-ascent is exposed as an experimental probe of the two-point conjecture.
+the frozen optimal strategy against shifted priors, all in one forward
+sweep.  Multi-atom coordinate ascent is exposed as an experimental probe of
+the two-point conjecture.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior, UGrid
+from .core import ConfigurationError, InternalError, SymmetricPrior, UGrid
 from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
-from .strategy_eval import EvalStrategy, evaluate
+from .strategy_eval import EvalStrategy, evaluate, frozen_losses
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # saddle_check fails only exceedances up to this gap; beyond it the forced
 # initial stage, 2*eps*d, dominates any strategy's loss
 SADDLE_CUTOFF = 16.0
+# the forward sweep's saddle_check loss at d_star may differ from the
+# backward sweep's by rounding only
+ANCHOR_TOLERANCE = 1e-12
 
 
 def backend_grid(backend: str, u_max: float | None = None, du: float | None = None) -> UGrid:
@@ -210,23 +214,46 @@ def saddle_check(
     over two-point priors; see SaddleReport for the pass condition.
 
     d_values defaults to 0.4, 0.8, ... up to SADDLE_CUTOFF plus 18 and 20;
-    d_star is always added.
+    d_star is always added, and at least one gap must lie within the cutoff.
+    Every prior is built, and so validated, before the solve at d_star.
+
+    The rows come from one forward sweep of the frozen table's state density
+    (strategy_eval.frozen_losses), which serves every prior at once.  The
+    d_star row is anchored to the backward sweep: it is evaluate's value,
+    which reproduces the solver's own risk, and the forward value there must
+    agree with it within ANCHOR_TOLERANCE, or the check raises InternalError.
     """
     g = grid if grid is not None else UGrid()
-    out = solve_invariant(DpConfig(epsilon, SymmetricPrior.two_point(d_star), g))
-    frozen = EvalStrategy.from_table(out.strategy)
-    risk_star = out.bayes_risk
-
     if d_values is None:
         d_values = np.concatenate([np.arange(0.4, SADDLE_CUTOFF + 1e-9, 0.4), [18.0, 20.0]])
     ds = sorted(set(float(d) for d in d_values) | {float(d_star)})
-    rows = []
-    for d in ds:
-        ev = evaluate(frozen, SymmetricPrior.two_point(d))
-        rows.append(SaddleRow(d=d, loss=ev.total_loss, loss_no_initial=ev.loss_no_initial))
+    priors = [SymmetricPrior.two_point(d) for d in ds]  # refuses d <= 0, nan and inf
+    if not any(d <= SADDLE_CUTOFF + 1e-9 for d in ds):
+        raise ConfigurationError(
+            f"no gap lies within the saddle cutoff {SADDLE_CUTOFF}: d_star = {d_star}, "
+            f"smallest d = {ds[0]}"
+        )
+    star = ds.index(float(d_star))
+
+    out = solve_invariant(DpConfig(epsilon, priors[star], g))
+    frozen = EvalStrategy.from_table(out.strategy)
+    risk_star = out.bayes_risk
+    losses = frozen_losses(frozen, priors)
+    anchor = evaluate(frozen, priors[star])
+    drift = abs(losses[star].total_loss - anchor.total_loss)
+    if not drift <= ANCHOR_TOLERANCE:
+        raise InternalError(
+            f"forward sweep loss at d_star = {d_star} is {losses[star].total_loss}, "
+            f"{drift:.3g} from the backward sweep's {anchor.total_loss}"
+        )
+    losses[star] = anchor
+    rows = [
+        SaddleRow(d=d, loss=ev.total_loss, loss_no_initial=ev.loss_no_initial)
+        for d, ev in zip(ds, losses)
+    ]
     within = [r for r in rows if r.d <= SADDLE_CUTOFF + 1e-9]
     max_within = max(r.loss for r in within)
-    at_star = next(r for r in rows if r.d == float(d_star))
+    at_star = rows[star]
     equality_gap = abs(at_star.loss - risk_star)
     passed = max_within <= risk_star + tolerance and equality_gap <= tolerance
     exceedances = tuple(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import batchbandit
 import batchbandit.cli  # noqa: F401  (the tracer wraps cli.main)
-from batchbandit import dp, pde, simulate, strategy_eval
+from batchbandit import cli, dp, pde, search, simulate, strategy_eval
 from batchbandit.core import SymmetricPrior, UGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -60,3 +60,27 @@ def test_the_tracer_reads_the_arguments_of_every_call_it_describes():
     assert metrics["dp.rows"] == rows
     assert metrics["core.convolve.calls"] == 2 * (rows + rows)
     assert metrics["core.loss_profile.calls"] == 3 * 8
+
+
+def test_a_tiny_pass_reaches_every_traced_layer(tmp_path):
+    # the calls the benchmark's workloads make, on a tiny lattice; a layer a
+    # refactor takes off their path (say saddle_check's evaluate) fails here
+    tracing = load_tracer()
+    grid = UGrid(2.0, 0.1)
+    tracer = tracing.Tracer()
+    with tracer, tracer.root("pass", 0):
+        curve = search.scan(1.0, 2.0, 0.5, backend="dp", epsilon=0.1, grid=grid)
+        search.refine(curve, 0.3)
+        search.saddle_check(1.5, 0.1, grid=grid, d_values=[1.0, 2.0])
+        search.scan(1.5, 1.5, 0.5, backend="pde", epsilon=0.01, grid=grid)
+        table = tmp_path / "strategy.csv"
+        argv = ["--epsilon", "0.1", "--d", "1.5", "--u-max", "2.0", "--du", "0.1"]
+        assert cli.main(["export-strategy", *argv, "--out", str(table)]) == 0
+        for model in ("bernoulli", "gaussian"):
+            assert cli.main(["simulate", "--strategy", str(table), "--t", "1000", "--m", "100",
+                             "--d", "1.5", "--reps", "50", "--model", model,
+                             "--out", str(tmp_path / f"{model}.json")]) == 0
+    assert tracer.absent == []
+    spans = tracer.spans
+    seen = {s[tracing.NAME] for s in spans} | {k for s in spans for k in s[tracing.AGG]}
+    assert sorted(set(tracing.TARGETS) - seen) == []

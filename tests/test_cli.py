@@ -1,5 +1,6 @@
 """CLI subcommands: summaries, file outputs, exit codes, config layering."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -262,6 +263,18 @@ def test_figure1_csv_shape_and_determinism(tmp_path):
         assert exp_ni >= bayes_ni - 1e-5
     assert main(argv) == 0
     assert out.read_text() == text
+
+
+def test_figure1_csv_bytes_are_pinned(tmp_path):
+    # the frozen column comes from one forward sweep; the bytes are those the
+    # per-d backward evaluate wrote
+    out = tmp_path / "fig.csv"
+    argv = ["figure1", "--epsilon", "0.1", "--d-min", "0.4", "--d-max", "6", "--step", "0.4",
+            "--u-max", "3", "--du", "0.02", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fed932f791eb7ef0b99587ce25c59fb96dcb550a1862413869c16c974c081e73"
+    )
 
 
 def test_figure1_rejects_bad_range(tmp_path, capsys):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
+from batchbandit import search
+from batchbandit.core import ConfigurationError, InternalError, SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.search import (
     RefineResult,
@@ -17,6 +18,7 @@ from batchbandit.search import (
     scan,
     search_multi_atom,
 )
+from batchbandit.strategy_eval import EvalResult, EvalStrategy, evaluate, frozen_losses
 
 EPS = 0.1
 GRID = UGrid(3.0, 0.02)
@@ -141,6 +143,44 @@ def test_saddle_check_reports_off_saddle_freeze():
     report = saddle_check(0.4, EPS, grid=GRID, d_values=[0.4, 1.6, 2.4])
     assert not report.passed
     assert report.max_within_cutoff > report.risk_star + report.tolerance
+
+
+def test_saddle_rows_match_the_backward_sweep_and_anchor_d_star():
+    report = saddle_check(1.6, EPS, grid=GRID, d_values=[0.4, 0.8, 2.4, 6.0, 18.0])
+    frozen = EvalStrategy.from_table(
+        solve_invariant(DpConfig(EPS, SymmetricPrior.two_point(1.6), GRID)).strategy
+    )
+    assert [r.d for r in report.rows] == [0.4, 0.8, 1.6, 2.4, 6.0, 18.0]
+    for r in report.rows:
+        ev = evaluate(frozen, SymmetricPrior.two_point(r.d))
+        assert abs(r.loss - ev.total_loss) <= 1e-13
+        assert abs(r.loss_no_initial - ev.loss_no_initial) <= 1e-13
+    # the d_star row is the backward sweep's, which reproduces the solver's risk
+    assert report.rows[2].loss == report.risk_star
+    assert report.equality_gap == 0.0
+
+
+def test_saddle_check_refuses_a_forward_sweep_that_drifts_from_the_anchor(monkeypatch):
+    def drifted(strategy, priors):
+        return [EvalResult(ev.total_loss + 1e-9, ev.loss_no_initial + 1e-9)
+                for ev in frozen_losses(strategy, priors)]
+
+    monkeypatch.setattr(search, "frozen_losses", drifted)
+    with pytest.raises(InternalError, match="backward sweep"):
+        saddle_check(1.6, EPS, grid=GRID, d_values=[0.8])
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+def test_saddle_check_refuses_a_bad_gap_before_the_solve(monkeypatch, d):
+    monkeypatch.setattr(search, "solve_invariant", None)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        saddle_check(1.6, EPS, grid=GRID, d_values=[0.8, d])
+
+
+def test_saddle_check_needs_a_gap_within_the_cutoff(monkeypatch):
+    monkeypatch.setattr(search, "solve_invariant", None)
+    with pytest.raises(ConfigurationError, match="cutoff 16.0"):
+        saddle_check(18.0, EPS, grid=UGrid(2.0, 0.1), d_values=[20.0])
 
 
 def test_multi_atom_ascent_never_regresses():

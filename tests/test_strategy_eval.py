@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from batchbandit import strategy_eval
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid, packet_count
 from batchbandit.dp import DpConfig, StrategyTable, solve_invariant
-from batchbandit.strategy_eval import EvalStrategy, evaluate, risk_curve
+from batchbandit.strategy_eval import EvalStrategy, evaluate, frozen_losses, risk_curve
 
 
 def sign_rule(epsilon: float, grid: UGrid) -> EvalStrategy:
@@ -151,3 +154,68 @@ def test_flipping_a_fraction_of_decisions_costs_extra():
     loss_anti = evaluate(anti, prior).total_loss
     assert loss_tweak > out.bayes_risk + 0.05
     assert loss_anti > loss_tweak + 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eps=st.sampled_from((0.5, 0.25, 0.2, 0.125, 0.1)),
+    seed=st.integers(0, 2**32 - 1),
+    priors=st.lists(
+        st.lists(
+            st.tuples(st.floats(0.05, 6.0), st.floats(0.1, 1.0)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda a: a[0],
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_forward_sweep_matches_the_backward_sweep(eps, seed, priors):
+    grid = UGrid(2.0, 0.1)
+    P = packet_count(eps)
+    arm1 = np.random.default_rng(seed).random((P + 1, P + 1, grid.n_points)) < 0.5
+    table = EvalStrategy(epsilon=eps, grid=grid, arm1=arm1)
+    priors = [
+        SymmetricPrior(tuple((w, m / sum(m for _, m in atoms)) for w, m in atoms))
+        for atoms in priors
+    ]
+    results = frozen_losses(table, priors)
+    assert len(results) == len(priors)
+    for prior, got in zip(priors, results):
+        want = evaluate(table, prior)
+        # Python floats, so that results and flags built on them serialize as JSON
+        assert type(got.total_loss) is float and type(got.loss_no_initial) is float
+        assert abs(got.total_loss - want.total_loss) <= 1e-13
+        assert abs(got.loss_no_initial - want.loss_no_initial) <= 1e-13
+        initial = 2.0 * eps * prior.mean_w
+        assert got.total_loss - got.loss_no_initial == pytest.approx(initial, abs=1e-15)
+
+
+def test_forward_sweep_of_the_steady_arm_loses_d():
+    st1 = EvalStrategy.constant(1, epsilon=0.02, grid=UGrid())
+    ds = (0.5, 1.0, 2.0)
+    results = frozen_losses(st1, [SymmetricPrior.two_point(d) for d in ds])
+    for d, ev in zip(ds, results):
+        assert ev.total_loss == pytest.approx(d, abs=0.01)
+
+
+def test_risk_curve_evaluates_a_frozen_strategy_in_one_forward_sweep(monkeypatch):
+    grid = UGrid(3.0, 0.02)
+    frozen = EvalStrategy.from_table(
+        solve_invariant(DpConfig(0.1, SymmetricPrior.two_point(1.6), grid)).strategy
+    )
+    want = [evaluate(frozen, SymmetricPrior.two_point(d)) for d in (0.8, 1.6, 3.0)]
+    calls = []
+
+    def spy(strategy, priors):
+        calls.append(len(priors))
+        return frozen_losses(strategy, priors)
+
+    monkeypatch.setattr(strategy_eval, "frozen_losses", spy)
+    monkeypatch.setattr(strategy_eval, "evaluate", None)  # the backward sweep is not used
+    rows = risk_curve([0.8, 1.6, 3.0], 0.1, grid=grid, strategy=frozen)
+    assert calls == [3]
+    for r, ev in zip(rows, want):
+        assert abs(r.expected_loss - ev.total_loss) <= 1e-13
+        assert abs(r.expected_loss_no_init - ev.loss_no_initial) <= 1e-13
