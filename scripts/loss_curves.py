@@ -16,11 +16,9 @@ import sys
 from pathlib import Path
 
 from batchbandit.cli import exit_code
-from batchbandit.core import SymmetricPrior
-from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.search import d_range, scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli
-from batchbandit.strategy_eval import EvalStrategy, risk_curve
+from batchbandit.strategy_eval import risk_curve
 from batchbandit.strategy_io import atomic_write
 
 HEADER = (
@@ -76,11 +74,7 @@ def write_curves(args) -> None:
         freeze_d = args.freeze_d
     else:
         freeze_d = scan(0.5, 2.5, 0.25, backend="dp", epsilon=args.epsilon).best().d
-    table = solve_invariant(
-        DpConfig(args.epsilon, SymmetricPrior.two_point(freeze_d))
-    ).strategy
-
-    rows = risk_curve(ds, args.epsilon, strategy=EvalStrategy.from_table(table))
+    table, rows = risk_curve(ds, args.epsilon, freeze_d=freeze_d)
 
     lines = [HEADER]
     for i, row in enumerate(rows):

@@ -29,7 +29,7 @@ from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
 from .search import backend_grid, d_range, refine, scan, search_multi_atom
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
-from .strategy_eval import EvalStrategy, frozen_losses, risk_curve
+from .strategy_eval import risk_curve
 from .strategy_io import atomic_write, load_strategy, save_strategy
 
 _FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
@@ -187,18 +187,13 @@ def _cmd_solve(cfg: dict) -> dict:
     *_GRID, Param("out", required=True, help="CSV output path"),
 )
 def _cmd_figure1(cfg: dict) -> None:
-    eps, grid = cfg["epsilon"], cfg["grid"]
-    rows = risk_curve(d_range(cfg["d_min"], cfg["d_max"], cfg["step"]), eps, grid=grid)
-    d_star = cfg["freeze_d"]
-    if d_star is None:
-        d_star = max(rows, key=lambda r: r.bayes_risk).d  # first maximum, as scan's best()
-    table = solve_invariant(DpConfig(eps, SymmetricPrior.two_point(d_star), grid)).strategy
-    played = frozen_losses(
-        EvalStrategy.from_table(table), [SymmetricPrior.two_point(r.d) for r in rows]
+    _, rows = risk_curve(
+        d_range(cfg["d_min"], cfg["d_max"], cfg["step"]), cfg["epsilon"],
+        grid=cfg["grid"], freeze_d=cfg["freeze_d"],
     )
     lines = [_FIGURE1_HEADER]
-    for r, ev in zip(rows, played):
-        row = (r.d, r.bayes_risk, ev.total_loss, r.bayes_risk_no_init, ev.loss_no_initial)
+    for r in rows:
+        row = (r.d, r.bayes_risk, r.expected_loss, r.bayes_risk_no_init, r.expected_loss_no_init)
         lines.append(",".join(_f6(x) for x in row))
     text = "\n".join(lines) + "\n"
     atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
@@ -210,12 +205,11 @@ def _cmd_figure1(cfg: dict) -> None:
 )
 def _cmd_pde(cfg: dict) -> dict:
     prior, d = _resolve_prior(cfg)
-    grid = cfg["grid"]
-    sol = solve_pde(PdeConfig(cfg["epsilon"], prior, du=grid.du, u_max=grid.u_max))
+    sol = solve_pde(PdeConfig(cfg["epsilon"], prior, cfg["grid"]))
     return {
         "epsilon": cfg["epsilon"],
         "d": d,
-        "du": grid.du,
+        "du": cfg["grid"].du,
         "limit_risk": _j6(sol.limit_risk),
         "limit_risk_no_initial": _j6(sol.limit_risk_no_initial),
     }

@@ -55,8 +55,8 @@ class SymmetricPrior:
             raise ConfigurationError("atom positions must be positive and finite")
         if len(set(ws)) != len(ws):
             raise ConfigurationError("atom positions must be distinct")
-        if any(p <= 0.0 for _, p in atoms):
-            raise ConfigurationError("atom weights must be positive")
+        if not all(0.0 < p < math.inf for _, p in atoms):  # NaN fails too
+            raise ConfigurationError("atom weights must be positive and finite")
         if not (self.c > 0.0):
             raise ConfigurationError("support bound c must be positive")
         if max(ws) > self.c + 1e-12:
@@ -137,29 +137,27 @@ def packet_count(epsilon: float) -> int:
     return n
 
 
-def loss_profile(prior: SymmetricPrior, ell: int, u, t1, t2) -> np.ndarray:
-    """Prior-weighted one-step loss of action ell over a row of u values.
+def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
+    """Prior-weighted one-step loss of arm 1 over a row of u values.
 
-    g_ell(u, t1, t2) = sum_i pi_i w_i exp((-1)^ell*2*u*w_i - 2*w_i^2*t1*t2/t)
-    with t = t1 + t2.  Scalar t1, t2 give one row; equal-length arrays give
-    one row per (t1, t2) pair, e.g. a whole anti-diagonal.  Exponents are
-    clipped at EXP_CLIP to keep the losing branch finite for extreme u*w
-    products.
+    g_1(u, t1, t2) = sum_i pi_i w_i exp(-2*u*w_i - 2*w_i^2*t1*t2/t) with
+    t = t1 + t2.  Arm 2's loss is the same profile at -u, bitwise: the
+    sign flip of u is exact.  Scalar t1, t2 give one row; equal-length
+    arrays give one row per (t1, t2) pair, e.g. a whole anti-diagonal.
+    Exponents are clipped at EXP_CLIP to keep the losing branch finite for
+    extreme u*w products.
     """
-    if ell not in (1, 2):
-        raise ValueError(f"action must be 1 or 2, got {ell}")
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     t = t1 + t2
     if (t <= 0.0).any():
         raise ValueError("state precedes any observation (t1 + t2 = 0)")
-    sign = -2.0 if ell == 1 else 2.0
     tau = t1 * t2 / t
     if tau.ndim:
         tau = tau[:, None]
     u = np.asarray(u, dtype=float)
     out = None
     for w, p in prior.atoms:  # one temporary per atom; the first (>= 0) becomes the sum
-        term = np.asarray(sign * w * u - 2.0 * w * w * tau)  # scalar inputs stay 0-d
+        term = np.asarray(-2.0 * w * u - 2.0 * w * w * tau)  # scalar inputs stay 0-d
         np.exp(np.minimum(term, EXP_CLIP, out=term), out=term)
         term *= p * w
         out = term if out is None else np.add(out, term, out=out)
@@ -217,10 +215,3 @@ def centered_gaussian_weights(grid: UGrid, variance: float) -> tuple[np.ndarray,
     idx = grid.n_half + np.arange(-half, half + 1)
     valid = (idx >= 0) & (idx < grid.n_points)
     return idx[valid], kern[valid]
-
-
-def centered_gaussian_expectation(row: np.ndarray, grid: UGrid, variance: float) -> float:
-    """Quadrature of a grid row against the centered Gaussian of the given
-    variance; mass falling beyond the grid reads the row as 0."""
-    idx, weights = centered_gaussian_weights(grid, variance)
-    return float(np.dot(weights, row[idx]))

@@ -36,7 +36,7 @@ from .core import (
     InternalError,
     SymmetricPrior,
     UGrid,
-    centered_gaussian_expectation,
+    centered_gaussian_weights,
     convolve_zero_padded,
     gaussian_kernel,
     loss_profile,
@@ -114,16 +114,15 @@ class SolveOutput:
 
 def backward_sweep(
     epsilon: float,
-    n_packets: int,
     grid: UGrid,
     prior: SymmetricPrior,
     step,
     *,
     keep_values: bool = False,
 ) -> tuple[dict[tuple[int, int], np.ndarray], float, float]:
-    """Walk the anti-diagonals K = n_packets - 1 .. 2 back from the zero
-    terminal diagonal; returns (slices, total risk, risk without the initial
-    stage).
+    """Walk the anti-diagonals K = n_packets - 1 .. 2, n_packets = 1/epsilon,
+    back from the zero terminal diagonal; returns (slices, total risk, risk
+    without the initial stage).
 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
     half = eps*g1 covers the rows k1 <= K/2 only: g1 depends on (t1, t2) only
@@ -133,6 +132,7 @@ def backward_sweep(
     slices holds every diagonal with keep_values (a mirror as a reversed
     view), otherwise only (1, 1).
     """
+    n_packets = packet_count(epsilon)
     u = grid.points
     succ = np.zeros((n_packets + 1, u.size))
     slices: dict[tuple[int, int], np.ndarray] = {}
@@ -140,7 +140,7 @@ def backward_sweep(
         slices.update(((k1, n_packets - k1), succ[k1]) for k1 in range(n_packets + 1))
     for K in range(n_packets - 1, 1, -1):
         j = np.arange(K // 2 + 1)
-        half = loss_profile(prior, 1, u, j * epsilon, (K - j) * epsilon)
+        half = loss_profile(prior, u, j * epsilon, (K - j) * epsilon)
         half *= epsilon
         cur = step(K, succ, half)
         if np.isnan(cur).any():
@@ -153,7 +153,8 @@ def backward_sweep(
     # after the loop succ is diagonal 2 (or the terminal one when P == 2);
     # its row 1 is the (eps, eps) slice the risk assembly needs
     slices.setdefault((1, 1), succ[1])
-    no_initial = centered_gaussian_expectation(succ[1], grid, 0.5 * epsilon)
+    idx, weights = centered_gaussian_weights(grid, 0.5 * epsilon)
+    no_initial = float(np.dot(weights, succ[1][idx]))
     total = no_initial + 2.0 * epsilon * prior.mean_w
     if not (math.isfinite(total) and total >= 0.0):
         raise InternalError(f"assembled risk is not a nonnegative number: {total}")
@@ -211,7 +212,7 @@ def solve_invariant(
         return np.where(take1, l1, l2)
 
     slices, total, no_initial = backward_sweep(
-        eps, P, grid, prior, gaussian_step(eps, grid, argmin), keep_values=keep_values
+        eps, grid, prior, gaussian_step(eps, grid, argmin), keep_values=keep_values
     )
     strategy = StrategyTable(epsilon=eps, grid=grid, arm1=arm1) if keep_strategy else None
     return SolveOutput(

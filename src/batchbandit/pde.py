@@ -33,35 +33,31 @@ from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
 from .dp import backward_sweep
 
 
+# the scheme's default grid, (u_max, du) as given (UGrid snaps u_max to 2.304):
+# it resolves the limit risk to about 1e-2 and stays monotone down to eps = 0.001
+DEFAULT_GRID = (2.3, 0.032)
+
+
 @dataclass(frozen=True)
 class PdeConfig:
-    """Scheme configuration.
+    """Scheme configuration: batch fraction, prior and u-grid.
 
-    The du and u_max defaults are the scheme's default grid, which search
-    and the CLI read from here: it resolves the limit risk to about 1e-2 and
-    keeps the scheme monotone down to eps = 0.001.
+    grid defaults to the scheme's default grid, UGrid(*DEFAULT_GRID), which
+    search and the CLI also use; its du must satisfy eps <= du^2.
     """
 
     epsilon: float
     prior: SymmetricPrior
-    du: float = 0.032
-    u_max: float = 2.3
+    grid: UGrid = UGrid(*DEFAULT_GRID)
 
     def __post_init__(self):
         packet_count(self.epsilon)
-        if self.epsilon > self.du * self.du * (1.0 + 1e-12):
+        du = self.grid.du
+        if self.epsilon > du * du * (1.0 + 1e-12):
             raise ConfigurationError(
                 f"explicit scheme is unstable: eps={self.epsilon} exceeds "
-                f"du^2={self.du * self.du}; refine eps or coarsen du"
+                f"du^2={du * du}; refine eps or coarsen du"
             )
-
-    @property
-    def n_packets(self) -> int:
-        return packet_count(self.epsilon)
-
-    @property
-    def grid(self) -> UGrid:
-        return UGrid(self.u_max, self.du)
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,6 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
     table (about n_packets^2 / 4 rows, the rest being reversed views), so
     keep it for coarse lattices only.
     """
-    P = config.n_packets
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
 
@@ -106,5 +101,5 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
             cur[H] = cur[K - H, ::-1]
         return cur
 
-    slices, total, no_initial = backward_sweep(eps, P, grid, prior, step, keep_values=keep_values)
+    slices, total, no_initial = backward_sweep(eps, grid, prior, step, keep_values=keep_values)
     return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial, slices=slices)

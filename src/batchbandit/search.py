@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ConfigurationError, InternalError, SymmetricPrior, UGrid
 from .dp import DpConfig, solve_invariant
-from .pde import PdeConfig, solve_pde
+from .pde import DEFAULT_GRID, PdeConfig, solve_pde
 from .strategy_eval import EvalStrategy, evaluate, frozen_losses
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,8 +33,8 @@ ANCHOR_TOLERANCE = 1e-12
 def backend_grid(backend: str, u_max: float | None = None, du: float | None = None) -> UGrid:
     """The u-grid a backend runs on: u_max and du where given, otherwise the
     library default (UGrid's for dp, PdeConfig's for pde)."""
-    default = PdeConfig if backend == "pde" else UGrid
-    return UGrid(default.u_max if u_max is None else u_max, default.du if du is None else du)
+    default_u_max, default_du = DEFAULT_GRID if backend == "pde" else (UGrid.u_max, UGrid.du)
+    return UGrid(default_u_max if u_max is None else u_max, default_du if du is None else du)
 
 
 def _risk_fn(backend: str, epsilon: float, grid: UGrid):
@@ -45,7 +45,7 @@ def _risk_fn(backend: str, epsilon: float, grid: UGrid):
         ).bayes_risk
     if backend == "pde":
         return lambda d: solve_pde(
-            PdeConfig(epsilon, SymmetricPrior.two_point(d), du=grid.du, u_max=grid.u_max)
+            PdeConfig(epsilon, SymmetricPrior.two_point(d), grid)
         ).limit_risk
     raise ConfigurationError(f"backend must be 'dp' or 'pde', got {backend!r}")
 
@@ -215,7 +215,7 @@ def saddle_check(
 
     d_values defaults to 0.4, 0.8, ... up to SADDLE_CUTOFF plus 18 and 20;
     d_star is always added, and at least one gap must lie within the cutoff.
-    Every prior is built, and so validated, before the solve at d_star.
+    The tolerance and every prior are validated before the solve at d_star.
 
     The rows come from one forward sweep of the frozen table's state density
     (strategy_eval.frozen_losses), which serves every prior at once.  The
@@ -223,6 +223,8 @@ def saddle_check(
     which reproduces the solver's own risk, and the forward value there must
     agree with it within ANCHOR_TOLERANCE, or the check raises InternalError.
     """
+    if not tolerance > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
     g = grid if grid is not None else UGrid()
     if d_values is None:
         d_values = np.concatenate([np.arange(0.4, SADDLE_CUTOFF + 1e-9, 0.4), [18.0, 20.0]])

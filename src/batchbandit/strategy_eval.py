@@ -35,7 +35,6 @@ from .core import (
     centered_gaussian_weights,
     convolve_zero_padded,
     loss_profile,
-    packet_count,
 )
 from .dp import (
     DpConfig,
@@ -55,15 +54,6 @@ class EvalStrategy(StrategyTable):
         """The solver's table, sharing its arm-1 lattice (no copy)."""
         return cls(epsilon=table.epsilon, grid=table.grid, arm1=table.arm1)
 
-    @classmethod
-    def constant(cls, arm: int, *, epsilon: float, grid: UGrid) -> "EvalStrategy":
-        """Play the same arm (1 or 2) in every state."""
-        if arm not in (1, 2):
-            raise ConfigurationError(f"arm must be 1 or 2, got {arm}")
-        P = packet_count(epsilon)
-        arm1 = np.full((P + 1, P + 1, grid.n_points), arm == 1)
-        return cls(epsilon=epsilon, grid=grid, arm1=arm1)
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -80,9 +70,7 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
         k1 = np.arange(K + 1)
         return np.where(strategy.arm1[k1, K - k1], l1, l2)
 
-    _, total, no_initial = backward_sweep(
-        eps, strategy.n_packets, grid, prior, gaussian_step(eps, grid, play)
-    )
+    _, total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, play))
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 
 
@@ -128,7 +116,7 @@ def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
         played[: K - H + 1] += played[H:][::-1]
         j = np.arange(H)
         for i, prior in enumerate(priors):
-            acc[i] += np.vdot(played[:H], loss_profile(prior, 1, u, j * eps, (K - j) * eps))
+            acc[i] += np.vdot(played[:H], loss_profile(prior, u, j * eps, (K - j) * eps))
     acc *= eps
     if not np.isfinite(acc).all():
         raise InternalError("non-finite loss in the forward sweep")
@@ -152,32 +140,30 @@ def risk_curve(
     epsilon: float,
     *,
     grid: UGrid | None = None,
-    strategy: EvalStrategy | None = None,
-) -> list[RiskCurveRow]:
-    """Bayes risk and strategy loss across two-point priors.
+    freeze_d: float | None = None,
+) -> tuple[StrategyTable, list[RiskCurveRow]]:
+    """Bayes risk and frozen-strategy loss across two-point priors.
 
-    With strategy=None the second pair of columns repeats the Bayes risk of
-    the per-d optimal strategy; a fixed strategy is evaluated as-is against
-    every prior (it must live on the same epsilon and grid).
+    One Bayes solve per d gives the Bayes columns.  The strategy is then
+    frozen at freeze_d, by default at the first d of largest Bayes risk, and
+    played against every prior through one frozen_losses sweep.  Returns the
+    frozen table and one row per d.  Every prior, freeze_d's included, is
+    validated before the first solve.
     """
     g = grid if grid is not None else UGrid()
-    if strategy is not None:
-        if strategy.epsilon != epsilon:
-            raise ConfigurationError(
-                f"strategy epsilon {strategy.epsilon} does not match {epsilon}"
-            )
-        if strategy.grid != g:
-            raise ConfigurationError("strategy grid does not match the requested grid")
     ds = [float(d) for d in d_values]
+    if not ds:
+        raise ConfigurationError("risk_curve needs at least one gap d")
     priors = [SymmetricPrior.two_point(d) for d in ds]
+    frozen_at = None if freeze_d is None else SymmetricPrior.two_point(freeze_d)
     bayes = [
         solve_invariant(DpConfig(epsilon, prior, g), keep_strategy=False) for prior in priors
     ]
-    if strategy is None:
-        played = [EvalResult(out.bayes_risk, out.bayes_risk_no_initial) for out in bayes]
-    else:
-        played = frozen_losses(strategy, priors)
-    return [
+    if frozen_at is None:  # the first maximum, as scan's best()
+        frozen_at = priors[max(range(len(ds)), key=lambda i: bayes[i].bayes_risk)]
+    table = solve_invariant(DpConfig(epsilon, frozen_at, g)).strategy
+    played = frozen_losses(EvalStrategy.from_table(table), priors)
+    rows = [
         RiskCurveRow(
             d=d,
             bayes_risk=out.bayes_risk,
@@ -187,3 +173,4 @@ def risk_curve(
         )
         for d, out, ev in zip(ds, bayes, played)
     ]
+    return table, rows

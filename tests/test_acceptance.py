@@ -153,7 +153,9 @@ def test_c07_solver_matches_quadrature_oracle_everywhere():
 
 def test_c08_always_first_arm_loses_the_gap():
     grid = UGrid()
-    always1 = EvalStrategy.constant(1, epsilon=EPS, grid=grid)
+    P = round(1.0 / EPS)
+    arm1 = np.full((P + 1, P + 1, grid.n_points), True)
+    always1 = EvalStrategy(epsilon=EPS, grid=grid, arm1=arm1)
     for d in (0.5, 1.0, 2.0):
         loss = evaluate(always1, SymmetricPrior.two_point(d)).total_loss
         assert loss == pytest.approx(d, abs=0.01)
@@ -198,14 +200,14 @@ def test_c10_structural_property_suite(frozen_minimax):
         assert np.all(out.slices[(k1, P - k1)] == 0.0)
 
     # the same three for the diffusion scheme
-    pcfg = PdeConfig(0.01, prior, du=0.1001, u_max=2.0)
+    pcfg = PdeConfig(0.01, prior, UGrid(2.0, 0.1001))
     pout = solve_pde(pcfg, keep_values=True)
     for (k1, k2), row in pout.slices.items():
         np.testing.assert_allclose(
             row, pout.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
         )
         assert np.all(row >= 0.0)
-    Pp = pcfg.n_packets
+    Pp = round(1.0 / pcfg.epsilon)
     for k1 in range(Pp + 1):
         assert np.all(pout.slices[(k1, Pp - k1)] == 0.0)
 

@@ -42,7 +42,7 @@ def test_the_tracer_reads_the_arguments_of_every_call_it_describes():
     tracer = tracing.Tracer()
     with tracer, tracer.root("pass", 0):
         table = dp.solve_invariant(dp.DpConfig(0.1, prior, grid)).strategy
-        pde.solve_pde(pde.PdeConfig(0.1, prior, du=0.5, u_max=2.0))
+        pde.solve_pde(pde.PdeConfig(0.1, prior, UGrid(2.0, 0.5)))
         strategy_eval.evaluate(strategy_eval.EvalStrategy.from_table(table), prior)
         trial = simulate.BatchTrialConfig(1000, 100, 0.5, 1.5, replications=50, seed=0)
         simulate.simulate_bernoulli(trial, table)

@@ -20,7 +20,7 @@ def test_risks_are_pinned():
 
     for prior, want in ((SymmetricPrior.two_point(1.6), 0.6452025311489752),
                         (TWO_ATOM, 0.5802909510520665)):
-        sol = solve_pde(PdeConfig(0.01, prior, du=0.1, u_max=2.3))
+        sol = solve_pde(PdeConfig(0.01, prior, UGrid(2.3, 0.1)))
         assert sol.limit_risk == pytest.approx(want, abs=1e-12)
 
     frozen = EvalStrategy.from_table(out.strategy)

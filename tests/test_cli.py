@@ -75,6 +75,13 @@ def test_prior_file(tmp_path, capsys):
     assert doc["bayes_risk"] > 0.0
 
 
+def test_prior_file_with_a_nan_weight_exits_2(tmp_path, capsys):
+    pf = tmp_path / "prior.json"
+    pf.write_text('{"atoms": [[1.0, NaN]]}')  # Python's json reads NaN
+    assert main(["solve", "--epsilon", "0.1", "--prior-file", str(pf)]) == 2
+    assert "weights must be positive and finite" in capsys.readouterr().err
+
+
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"epsilon": 0.5, "d": 2.0}))
@@ -282,6 +289,16 @@ def test_figure1_rejects_bad_range(tmp_path, capsys):
     rc = main(["figure1", "--epsilon", "0.25", "--d-min", "2.0", "--d-max", "1.0",
                "--step", "0.5", "--out", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("freeze_d", ["-1", "nan"])
+def test_figure1_refuses_a_bad_freeze_d_before_any_solve(tmp_path, monkeypatch, capsys, freeze_d):
+    for module in (cli, strategy_eval):
+        monkeypatch.setattr(module, "solve_invariant", None)
+    out = tmp_path / "fig.csv"
+    assert main(["figure1", "--freeze-d", freeze_d, "--out", str(out)]) == 2
+    assert "positive" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -39,9 +39,9 @@ class TestOneStepLoss:
     def test_frozen_single_atom_value(self):
         prior = SymmetricPrior.two_point(1.6)
         want = pytest.approx(0.4448596807251106, rel=1e-12)
-        assert float(loss_profile(prior, 1, 0.0, 0.5, 0.5)) == want
+        assert float(loss_profile(prior, 0.0, 0.5, 0.5)) == want
         # at u = 0 both actions look identical
-        assert float(loss_profile(prior, 2, 0.0, 0.5, 0.5)) == want
+        assert float(loss_profile(prior, -0.0, 0.5, 0.5)) == want
 
     @pytest.mark.parametrize(
         "atoms,ell,u,t1,t2,expected",
@@ -53,7 +53,7 @@ class TestOneStepLoss:
     )
     def test_frozen_values(self, atoms, ell, u, t1, t2, expected):
         prior = SymmetricPrior(tuple(atoms))
-        got = float(loss_profile(prior, ell, u, t1, t2))
+        got = float(loss_profile(prior, u if ell == 1 else -u, t1, t2))
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -68,13 +68,13 @@ class TestOneStepLoss:
     )
     def test_matches_quadrature_oracle(self, atoms, ell, u, t1, t2):
         prior = SymmetricPrior(tuple(atoms))
-        got = float(loss_profile(prior, ell, u, t1, t2))
+        got = float(loss_profile(prior, u if ell == 1 else -u, t1, t2))
         want = smeared_loss_oracle(atoms, ell, u, t1, t2)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
     def test_vanishing_gap_gives_vanishing_loss(self):
         prior = SymmetricPrior.two_point(1e-9)
-        assert float(loss_profile(prior, 1, 0.0, 0.5, 0.5)) <= 1e-8
+        assert float(loss_profile(prior, 0.0, 0.5, 0.5)) <= 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -84,10 +84,13 @@ class TestOneStepLoss:
         d=st.floats(0.05, 4.0),
     )
     def test_action_swap_mirrors_u(self, u, t1, t2, d):
+        # arm 2's loss is arm 1's at -u: the pair sums to the closed form
+        # 2 d exp(-2 d^2 tau) cosh(2 u d) of the two-point prior
         prior = SymmetricPrior.two_point(d)
-        a = float(loss_profile(prior, 1, u, t1, t2))
-        b = float(loss_profile(prior, 2, -u, t1, t2))
-        assert a == pytest.approx(b, rel=1e-13)
+        a = float(loss_profile(prior, u, t1, t2))
+        b = float(loss_profile(prior, -u, t1, t2))
+        want = 2.0 * d * math.exp(-2.0 * d * d * t1 * t2 / (t1 + t2)) * math.cosh(2.0 * u * d)
+        assert a + b == pytest.approx(want, rel=1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,33 +105,31 @@ class TestOneStepLoss:
         # them to rows K - k1, which needs these to be equal bit for bit
         prior = SymmetricPrior(tuple((w, 1.0 / len(ws)) for w in ws))
         u = UGrid(4.0, 0.1).points
-        assert np.array_equal(loss_profile(prior, 1, u, t1, t2), loss_profile(prior, 1, u, t2, t1))
+        assert np.array_equal(loss_profile(prior, u, t1, t2), loss_profile(prior, u, t2, t1))
         eps = 1.0 / n_packets
         K = 2 + round(frac * (n_packets - 3))
         k1 = np.arange(K + 1)
-        rows = loss_profile(prior, 1, u, k1 * eps, (K - k1) * eps)
+        rows = loss_profile(prior, u, k1 * eps, (K - k1) * eps)
         assert np.array_equal(rows, rows[::-1])
 
     def test_strictly_decreasing_in_overlap(self):
         # larger t1*t2/t means better-separated posteriors, hence lower loss
         prior = SymmetricPrior.two_point(1.3)
         u = 0.4  # (-1)^1 * u <= 0 branch
-        losses = [float(loss_profile(prior, 1, u, s, s)) for s in (0.05, 0.1, 0.2, 0.3, 0.45)]
+        losses = [float(loss_profile(prior, u, s, s)) for s in (0.05, 0.1, 0.2, 0.3, 0.45)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
-    def test_rejects_unobserved_state_and_bad_action(self):
+    def test_rejects_unobserved_state(self):
         prior = SymmetricPrior.two_point(1.0)
         with pytest.raises(ValueError):
-            loss_profile(prior, 1, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            loss_profile(prior, 3, 0.0, 0.5, 0.5)
+            loss_profile(prior, 0.0, 0.0, 0.0)
 
     def test_profile_matches_scalar(self):
         prior = SymmetricPrior(((0.8, 0.25), (2.0, 0.75)))
         grid = UGrid(1.0, 0.25)
-        row = loss_profile(prior, 2, grid.points, 0.3, 0.2)
+        row = loss_profile(prior, -grid.points, 0.3, 0.2)
         for i, u in enumerate(grid.points):
-            scalar = float(loss_profile(prior, 2, u, 0.3, 0.2))
+            scalar = float(loss_profile(prior, -u, 0.3, 0.2))
             assert row[i] == pytest.approx(scalar, rel=1e-14)
 
     @settings(max_examples=80, deadline=None)
@@ -159,13 +160,13 @@ class TestOneStepLoss:
             (p * w) * np.exp(np.minimum(sign * w * x - 2.0 * w * w * tau, EXP_CLIP))
             for w, p in prior.atoms
         )
-        got = loss_profile(prior, ell, *args)
+        got = loss_profile(prior, args[0] if ell == 1 else -args[0], *args[1:])
         assert got.shape == np.shape(want)
         assert np.array_equal(got, want)
 
     def test_scalar_inputs_give_a_0d_array(self):
         for atoms in (((1.6, 1.0),), ((0.8, 0.25), (2.0, 0.75))):
-            got = loss_profile(SymmetricPrior(atoms), 1, 0.3, 0.1, 0.4)
+            got = loss_profile(SymmetricPrior(atoms), 0.3, 0.1, 0.4)
             assert isinstance(got, np.ndarray) and got.shape == ()
 
 
@@ -264,6 +265,14 @@ class TestPrior:
             SymmetricPrior(((2.0, 1.0),), c=1.5)  # atom beyond support bound
         with pytest.raises(ConfigurationError):
             SymmetricPrior(())
+
+    @pytest.mark.parametrize(
+        "atoms", [((1.0, math.nan),), ((1.0, math.inf),), ((1.0, 0.5), (2.0, math.nan))]
+    )
+    def test_rejects_a_weight_that_is_not_finite(self, atoms):
+        # abs(nan - 1) > 1e-9 is False: the sum check alone lets NaN through
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            SymmetricPrior(atoms)
 
     def test_support_bound_accepts_atom_at_c(self):
         prior = SymmetricPrior(((1.5, 1.0),), c=1.5)

@@ -1,8 +1,11 @@
 """Smoke runs of the experiment scripts on small lattices."""
 
+import hashlib
 import json
 import runpy
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,12 +40,32 @@ def test_loss_curves(tmp_path):
         assert sim_se > 0.0 and abs(sim_mean - frozen) < 5.0 * sim_se + 1e-3
 
 
+@pytest.mark.parametrize(
+    "freeze, sha256",
+    [
+        ([], "a83ca8fafa390f3b40ee780497bd84045ec45f6b8bffa26d26a5338b4fac7f15"),
+        (["--freeze-d", "0.5"],
+         "faa5366dd73b30e356bae0aecf1dbb6f3354369a7cb43f7ad47bd1fd8c2fe4b6"),
+    ],
+    ids=["scanned-freeze", "given-freeze"],
+)
+def test_loss_curves_bytes_are_pinned(tmp_path, freeze, sha256):
+    # ten packets: unlike four, the frozen columns differ with the freeze gap
+    out = tmp_path / "curves.csv"
+    main = script_main("loss_curves.py")
+    argv = ["--epsilon", "0.1", "--t", "1000", "--m", "100", "--d-min", "0.5", "--d-max", "3",
+            "--step", "1.25", "--reps", "200", "--sim-every", "1", "--out", str(out), *freeze]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_loss_curves_failure_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     main = script_main("loss_curves.py")
-    # from d = 3 on the arm probabilities leave (0, 1): refused before the solve,
+    # from d = 3 on the arm probabilities leave (0, 1): refused before any solve,
     # which here would fail as an internal error (exit 1)
-    main.__globals__["solve_invariant"] = None
+    main.__globals__["risk_curve"] = None
+    main.__globals__["scan"] = None
     argv = ["--epsilon", "0.25", "--t", "8", "--m", "2", "--d-min", "0.5", "--d-max", "4",
             "--step", "0.5", "--sim-every", "1", "--freeze-d", "1.0", "--reps", "50",
             "--out", str(out)]

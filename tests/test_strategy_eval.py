@@ -18,6 +18,13 @@ def sign_rule(epsilon: float, grid: UGrid) -> EvalStrategy:
     return EvalStrategy(epsilon=epsilon, grid=grid, arm1=arm1)
 
 
+def steady(arm: int, epsilon: float, grid: UGrid) -> EvalStrategy:
+    """Play the same arm (1 or 2) in every state."""
+    P = packet_count(epsilon)
+    arm1 = np.full((P + 1, P + 1, grid.n_points), arm == 1)
+    return EvalStrategy(epsilon=epsilon, grid=grid, arm1=arm1)
+
+
 def test_optimal_strategy_reproduces_bayes_risk():
     cfg = DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02))
     out = solve_invariant(cfg)
@@ -30,7 +37,7 @@ def test_always_first_arm_loses_exactly_d():
     # the one-step loss of the steady arm is a martingale under its own
     # transition kernel, so the total collapses to d in closed form
     for d in (0.5, 1.0, 2.0):
-        st = EvalStrategy.constant(1, epsilon=0.02, grid=UGrid())
+        st = steady(1, 0.02, UGrid())
         ev = evaluate(st, SymmetricPrior.two_point(d))
         assert ev.total_loss == pytest.approx(d, abs=0.01)
 
@@ -38,8 +45,8 @@ def test_always_first_arm_loses_exactly_d():
 def test_always_second_arm_is_symmetric():
     prior = SymmetricPrior.two_point(1.3)
     grid = UGrid(3.0, 0.02)
-    one = evaluate(EvalStrategy.constant(1, epsilon=0.1, grid=grid), prior)
-    two = evaluate(EvalStrategy.constant(2, epsilon=0.1, grid=grid), prior)
+    one = evaluate(steady(1, 0.1, grid), prior)
+    two = evaluate(steady(2, 0.1, grid), prior)
     assert one.total_loss == pytest.approx(two.total_loss, rel=1e-12)
 
 
@@ -49,8 +56,8 @@ def test_no_strategy_beats_the_bayes_risk():
     eps = 0.1
     bayes = solve_invariant(DpConfig(eps, prior, grid), keep_strategy=False).bayes_risk
     candidates = [
-        EvalStrategy.constant(1, epsilon=eps, grid=grid),
-        EvalStrategy.constant(2, epsilon=eps, grid=grid),
+        steady(1, eps, grid),
+        steady(2, eps, grid),
         sign_rule(eps, grid),
     ]
     for st in candidates:
@@ -69,7 +76,7 @@ def test_sign_threshold_strategy_is_nearly_optimal():
 
 def test_initial_stage_term_is_exact():
     prior = SymmetricPrior(((0.9, 0.35), (2.2, 0.65)))
-    st = EvalStrategy.constant(1, epsilon=0.125, grid=UGrid(3.0, 0.02))
+    st = steady(1, 0.125, UGrid(3.0, 0.02))
     ev = evaluate(st, prior)
     want = 2.0 * 0.125 * prior.mean_w
     assert ev.total_loss - ev.loss_no_initial == pytest.approx(want, abs=1e-15)
@@ -85,34 +92,18 @@ def test_frozen_minimax_strategy_grows_past_the_saddle():
     assert far.total_loss - far.loss_no_initial == pytest.approx(0.8, abs=1e-12)
 
 
-def test_risk_curve_with_reoptimized_strategy():
-    rows = risk_curve([0.5, 1.0], 0.25, grid=UGrid(2.0, 0.05))
-    assert [r.d for r in rows] == [0.5, 1.0]
-    for r in rows:
-        assert r.expected_loss == r.bayes_risk
-        assert r.expected_loss_no_init == r.bayes_risk_no_init
-        assert r.bayes_risk >= r.bayes_risk_no_init
-
-
 def test_risk_curve_with_frozen_strategy_dominates_bayes():
     grid = UGrid(3.0, 0.02)
     out = solve_invariant(DpConfig(0.1, SymmetricPrior.two_point(1.6), grid))
-    frozen = EvalStrategy.from_table(out.strategy)
-    rows = risk_curve([0.8, 1.6, 3.0], 0.1, grid=grid, strategy=frozen)
+    table, rows = risk_curve([0.8, 1.6, 3.0], 0.1, grid=grid, freeze_d=1.6)
+    assert (table.arm1 == out.strategy.arm1).all()
+    assert [r.d for r in rows] == [0.8, 1.6, 3.0]
     for r in rows:
         assert r.expected_loss >= r.bayes_risk - 1e-9
         assert r.expected_loss_no_init >= r.bayes_risk_no_init - 1e-9
     # at the freeze point the strategy is the Bayes-optimal one
     mid = rows[1]
     assert mid.expected_loss == pytest.approx(mid.bayes_risk, abs=1e-9)
-
-
-def test_risk_curve_rejects_mismatched_strategy():
-    st = EvalStrategy.constant(1, epsilon=0.25, grid=UGrid(2.0, 0.05))
-    with pytest.raises(ConfigurationError):
-        risk_curve([1.0], 0.1, grid=UGrid(2.0, 0.05), strategy=st)
-    with pytest.raises(ConfigurationError):
-        risk_curve([1.0], 0.25, grid=UGrid(3.0, 0.05), strategy=st)
 
 
 def test_strategy_lattice_must_be_a_bool_array_of_the_lattice_shape():
@@ -128,8 +119,6 @@ def test_strategy_lattice_must_be_a_bool_array_of_the_lattice_shape():
         for cls in (StrategyTable, EvalStrategy):
             with pytest.raises(ConfigurationError, match="arm1"):
                 cls(epsilon=0.25, grid=grid, arm1=arm1)
-    with pytest.raises(ConfigurationError, match="arm must be 1 or 2"):
-        EvalStrategy.constant(0, epsilon=0.25, grid=grid)
 
 
 def test_from_table_shares_the_solver_lattice():
@@ -193,7 +182,7 @@ def test_forward_sweep_matches_the_backward_sweep(eps, seed, priors):
 
 
 def test_forward_sweep_of_the_steady_arm_loses_d():
-    st1 = EvalStrategy.constant(1, epsilon=0.02, grid=UGrid())
+    st1 = steady(1, 0.02, UGrid())
     ds = (0.5, 1.0, 2.0)
     results = frozen_losses(st1, [SymmetricPrior.two_point(d) for d in ds])
     for d, ev in zip(ds, results):
@@ -214,8 +203,22 @@ def test_risk_curve_evaluates_a_frozen_strategy_in_one_forward_sweep(monkeypatch
 
     monkeypatch.setattr(strategy_eval, "frozen_losses", spy)
     monkeypatch.setattr(strategy_eval, "evaluate", None)  # the backward sweep is not used
-    rows = risk_curve([0.8, 1.6, 3.0], 0.1, grid=grid, strategy=frozen)
+    _, rows = risk_curve([0.8, 1.6, 3.0], 0.1, grid=grid, freeze_d=1.6)
     assert calls == [3]
     for r, ev in zip(rows, want):
         assert abs(r.expected_loss - ev.total_loss) <= 1e-13
         assert abs(r.expected_loss_no_init - ev.loss_no_initial) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "d_values, freeze_d, match",
+    [
+        ([1.0, 2.0], -1.0, "positive"),
+        ([1.0], float("nan"), "positive"),
+        ([], None, "at least one"),
+    ],
+)
+def test_risk_curve_refuses_bad_gaps_before_any_solve(monkeypatch, d_values, freeze_d, match):
+    monkeypatch.setattr(strategy_eval, "solve_invariant", None)
+    with pytest.raises(ConfigurationError, match=match):
+        risk_curve(d_values, 0.1, freeze_d=freeze_d)
