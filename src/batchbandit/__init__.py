@@ -13,16 +13,13 @@ from .core import (
 from .dp import DpConfig, SolveOutput, StrategyTable, solve_invariant
 from .pde import PdeConfig, PdeSolution, solve_pde
 from .search import (
-    MultiAtomResult,
     RefineResult,
     SaddleReport,
     ScanCurve,
     ScanPoint,
-    golden_section_max,
     refine,
     saddle_check,
     scan,
-    search_multi_atom,
 )
 from .simulate import (
     BatchTrialConfig,
@@ -47,7 +44,6 @@ __all__ = [
     "EvalResult",
     "EvalStrategy",
     "InternalError",
-    "MultiAtomResult",
     "PdeConfig",
     "PdeSolution",
     "RefineResult",
@@ -63,7 +59,6 @@ __all__ = [
     "TrialResult",
     "UGrid",
     "evaluate",
-    "golden_section_max",
     "load_strategy",
     "loss_profile",
     "refine",
@@ -71,7 +66,6 @@ __all__ = [
     "saddle_check",
     "save_strategy",
     "scan",
-    "search_multi_atom",
     "simulate_bernoulli",
     "simulate_gaussian",
     "solve_invariant",

@@ -27,7 +27,7 @@ import numpy as np
 from .core import ConfigurationError, SymmetricPrior
 from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
-from .search import backend_grid, d_range, refine, scan, search_multi_atom
+from .search import backend_grid, d_range, refine, scan
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from .strategy_eval import risk_curve
 from .strategy_io import atomic_write, load_strategy, save_strategy
@@ -48,9 +48,9 @@ class Param:
     required: bool = False
 
     def accepts(self, value) -> bool:
-        """Whether a config-file value fits; JSON ints pass as floats, bools only as bools."""
+        """Whether a config-file value fits; JSON ints pass as floats, bools never."""
         kinds = (int, float) if self.type is float else self.type
-        ok = isinstance(value, kinds) and (self.type is bool or not isinstance(value, bool))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
         return ok and (self.choices is None or value in self.choices)
 
 
@@ -183,7 +183,8 @@ def _cmd_solve(cfg: dict) -> dict:
     "figure1", "risk and frozen-strategy loss curves as CSV",
     Param("epsilon", float, 0.02), Param("d_min", float, 0.2),
     Param("d_max", float, 20.0), Param("step", float, 0.2),
-    Param("freeze_d", float, help="freeze the strategy at this d (default: the worst d)"),
+    Param("freeze_d", float,
+          help="freeze the strategy at this d (default: the first local Bayes-risk maximum)"),
     *_GRID, Param("out", required=True, help="CSV output path"),
 )
 def _cmd_figure1(cfg: dict) -> None:
@@ -219,17 +220,13 @@ def _cmd_pde(cfg: dict) -> dict:
     "search", "worst-case gap scan and refinement",
     Param("backend", default="dp", choices=("dp", "pde")), _EPSILON,
     Param("d_min", float, 0.5), Param("d_max", float, 2.5), Param("step", float, 0.25),
-    Param("tolerance", float, 0.01, help="width at which refinement stops"), *_GRID,
-    Param("multi_atom", int, help="experimental: coordinate ascent over this many atom pairs"),
-    _OUT,
+    Param("tolerance", float, 0.01, help="width at which refinement stops"), *_GRID, _OUT,
 )
 def _cmd_search(cfg: dict) -> dict:
     backend, eps, grid = cfg["backend"], cfg["epsilon"], cfg["grid"]
-    if cfg["multi_atom"] and backend != "dp":
-        raise ConfigurationError("--multi-atom runs on the dp backend only")
     curve = scan(cfg["d_min"], cfg["d_max"], cfg["step"], backend=backend, epsilon=eps, grid=grid)
     res = refine(curve, cfg["tolerance"])
-    summary = {
+    return {
         "backend": backend,
         "epsilon": eps,
         "d_star": _j6(res.d_star),
@@ -238,14 +235,6 @@ def _cmd_search(cfg: dict) -> dict:
         "evaluations": res.evaluations,
         "curve": [{"d": _j6(p.d), "risk": _j6(p.risk)} for p in curve.points],
     }
-    if cfg["multi_atom"]:
-        ma = search_multi_atom(eps, cfg["multi_atom"], grid=grid)
-        summary["multi_atom"] = {
-            "risk": _j6(ma.risk),
-            "atoms": [[_j6(w), _j6(p)] for w, p in ma.prior.atoms],
-            "evaluations": ma.evaluations,
-        }
-    return summary
 
 
 @_command(
@@ -255,14 +244,14 @@ def _cmd_search(cfg: dict) -> dict:
     Param("strategy", required=True, help="CSV produced by export-strategy"),
     Param("reps", int, 10000), Param("seed", int, 0),
     Param("model", default="bernoulli", choices=("bernoulli", "gaussian")),
-    Param("per_item", bool, False), Param("orientation", int, choices=(-1, 1)), _OUT,
+    Param("orientation", int, choices=(-1, 1)), _OUT,
 )
 def _cmd_simulate(cfg: dict) -> dict:
     table = load_strategy(cfg["strategy"])
     if cfg["model"] == "bernoulli":
         trial = BatchTrialConfig(
             cfg["t"], cfg["m"], cfg["p"], cfg["d"], cfg["reps"], cfg["seed"],
-            per_item=cfg["per_item"], orientation=cfg["orientation"],
+            orientation=cfg["orientation"],
         )
         res = simulate_bernoulli(trial, table)
         echo = ("model", "t", "m", "p", "d")
@@ -301,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON file with parameters; flags override")
         for param in command.params:
             flag = "--" + param.name.replace("_", "-")
-            if param.type is bool:
-                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=param.help)
-            else:
-                p.add_argument(flag, type=param.type, choices=param.choices, help=param.help)
+            p.add_argument(flag, type=param.type, choices=param.choices, help=param.help)
     return parser
 
 

@@ -100,6 +100,11 @@ class UGrid:
             n_half = int(math.ceil(self.u_max / self.du - 1e-12))
         if n_half < 1:
             n_half = 1
+        if (2 * n_half + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"u_max / du = {self.u_max / self.du:.3g} gives more grid points "
+                "than one float array can hold"
+            )
         object.__setattr__(self, "u_max", n_half * self.du)
 
     @property

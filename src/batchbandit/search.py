@@ -5,8 +5,8 @@ the search scans the Bayes risk over the gap parameter d, refines the
 interior maximum by golden section (unimodality assumed, the scan guards
 against gross multimodality), and certifies the saddle point by evaluating
 the frozen optimal strategy against shifted priors, all in one forward
-sweep.  Multi-atom coordinate ascent is exposed as an experimental probe of
-the two-point conjecture.
+sweep.  As the frozen loss is linear in the prior, a passed check also
+bounds the multi-atom priors on the checked gaps (see SaddleReport).
 """
 
 from __future__ import annotations
@@ -76,13 +76,17 @@ class ScanCurve:
 
 def d_range(d_min: float, d_max: float, step: float) -> list[float]:
     """Gaps d_min, d_min + step, ... up to d_max, with d_max appended when the
-    step does not reach it exactly."""
+    step does not reach it exactly.  A step of at most half an ulp of the top
+    gap would leave some gap unchanged and the range unending: it is refused."""
     if not (0.0 < d_min <= d_max):
         raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
-    if d_min < d_max and not (step > 0.0):
-        raise ConfigurationError(f"step must be positive, got {step}")
+    top = d_max + 1e-12
+    if d_min < d_max and not (step > 0.0 and 2.0 * step > math.ulp(top)):
+        raise ConfigurationError(
+            f"step must be positive and move every gap up to d_max = {d_max}, got {step}"
+        )
     ds = [d_min]
-    while ds[-1] + step <= d_max + 1e-12 and d_min < d_max:
+    while ds[-1] + step <= top and d_min < d_max:
         ds.append(ds[-1] + step)
     if ds[-1] < d_max - 1e-12:
         ds.append(d_max)
@@ -189,6 +193,15 @@ class SaddleReport:
     tolerance.  Exceedances beyond the cutoff are listed, not failed; their
     loss_no_initial column shows how much of the excess the forced initial
     stage contributes.
+
+    passed also bounds the multi-atom priors.  The frozen strategy's loss
+    under a symmetric prior with atoms (w_i, pi_i) is sum_i pi_i L(w_i), L
+    the two-point loss of the rows (the loss profile and the forced stage's
+    mean_w are both linear in the atoms), and that prior's Bayes risk is at
+    most this loss.  So every symmetric prior whose atoms are among the gaps
+    within the cutoff has Bayes risk <= max_within_cutoff <= risk_star +
+    tolerance: [risk_star, max_within_cutoff] brackets the minimax risk over
+    those priors, whatever the shape of the Bayes curve between the rows.
     """
 
     d_star: float
@@ -273,68 +286,3 @@ def saddle_check(
         exceedances=exceedances,
     )
 
-
-@dataclass(frozen=True)
-class MultiAtomResult:
-    prior: SymmetricPrior
-    risk: float
-    evaluations: int
-
-
-def search_multi_atom(
-    epsilon: float,
-    n_atoms: int = 2,
-    *,
-    grid: UGrid | None = None,
-    sweeps: int = 3,
-    w_bounds: tuple[float, float] = (0.1, 5.0),
-    tolerance: float = 1e-3,
-) -> MultiAtomResult:
-    """Experimental coordinate ascent over atom positions and raw masses.
-
-    Probes whether spreading the prior over several atom pairs beats the
-    two-point family; it has never done so in our runs, which is consistent
-    with the degenerate worst case the scan assumes.  Masses are optimized
-    as raw positives and renormalized; near-coincident positions are
-    rejected inside the objective rather than repaired.
-    """
-    if n_atoms < 1:
-        raise ConfigurationError(f"need at least one atom, got {n_atoms}")
-    g = grid if grid is not None else UGrid()
-    w = np.linspace(1.0, 2.2, n_atoms)
-    a = np.ones(n_atoms)
-    evals = 0
-
-    def risk_of(w_vec, a_vec) -> float:
-        nonlocal evals
-        if n_atoms > 1 and np.min(np.diff(np.sort(w_vec))) < 1e-6:
-            return -math.inf
-        pis = a_vec / a_vec.sum()
-        prior = SymmetricPrior(tuple(zip(w_vec.tolist(), pis.tolist())))
-        evals += 1
-        return solve_invariant(DpConfig(epsilon, prior, g), keep_strategy=False).bayes_risk
-
-    best = risk_of(w, a)
-    for _ in range(sweeps):
-        for i in range(n_atoms):
-            x, y, _ = golden_section_max(
-                lambda v: risk_of(np.r_[w[:i], v, w[i + 1 :]], a),
-                w_bounds[0],
-                w_bounds[1],
-                tolerance,
-            )
-            if y > best:
-                w[i], best = x, y
-        if n_atoms > 1:
-            for i in range(n_atoms):
-                x, y, _ = golden_section_max(
-                    lambda v: risk_of(w, np.r_[a[:i], v, a[i + 1 :]]),
-                    0.05,
-                    1.0,
-                    tolerance,
-                )
-                if y > best:
-                    a[i], best = x, y
-    pis = a / a.sum()
-    prior = SymmetricPrior(tuple(zip(w.tolist(), pis.tolist())))
-    return MultiAtomResult(prior=prior, risk=best, evaluations=evals)

@@ -49,8 +49,7 @@ class BatchTrialConfig:
     p +- d*sqrt(D/n_items) with D = p*(1-p).  orientation fixes which arm
     is better (+1: arm 1, -1: arm 2); None draws it per replication with
     probability 1/2, so the loss mean estimates the Bayes loss under the
-    symmetric two-point prior.  per_item draws every Bernoulli item instead
-    of one binomial count per packet (parity demonstrations only).
+    symmetric two-point prior.
     """
 
     n_items: int
@@ -59,7 +58,6 @@ class BatchTrialConfig:
     d: float
     replications: int
     seed: int
-    per_item: bool = False
     orientation: int | None = None
 
     def __post_init__(self):
@@ -168,11 +166,7 @@ def simulate_bernoulli(cfg: BatchTrialConfig, strategy: StrategyTable) -> TrialR
     p_best = cfg.p + cfg.delta
 
     def draw(rng, sign):
-        pk = cfg.p + sign * cfg.delta
-        if cfg.per_item:
-            counts = rng.binomial(1, pk, size=(M, pk.size)).sum(axis=0)
-        else:
-            counts = rng.binomial(M, pk)
+        counts = rng.binomial(M, cfg.p + sign * cfg.delta)
         return counts * xi_scale, counts
 
     return _lockstep(

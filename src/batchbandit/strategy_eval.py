@@ -145,10 +145,12 @@ def risk_curve(
     """Bayes risk and frozen-strategy loss across two-point priors.
 
     One Bayes solve per d gives the Bayes columns.  The strategy is then
-    frozen at freeze_d, by default at the first d of largest Bayes risk, and
-    played against every prior through one frozen_losses sweep.  Returns the
-    frozen table and one row per d.  Every prior, freeze_d's included, is
-    validated before the first solve.
+    frozen at freeze_d, by default at the first local maximum of the Bayes
+    column (the first d whose risk is not below the next one's, else the
+    last d; the largest risk can sit at the far end, as the forced stage
+    costs 2*eps*d), and played against every prior through one
+    frozen_losses sweep.  Returns the frozen table and one row per d.
+    Every prior, freeze_d's included, is validated before the first solve.
     """
     g = grid if grid is not None else UGrid()
     ds = [float(d) for d in d_values]
@@ -159,8 +161,9 @@ def risk_curve(
     bayes = [
         solve_invariant(DpConfig(epsilon, prior, g), keep_strategy=False) for prior in priors
     ]
-    if frozen_at is None:  # the first maximum, as scan's best()
-        frozen_at = priors[max(range(len(ds)), key=lambda i: bayes[i].bayes_risk)]
+    if frozen_at is None:
+        risks = [out.bayes_risk for out in bayes] + [-np.inf]
+        frozen_at = priors[next(i for i in range(len(ds)) if risks[i] >= risks[i + 1])]
     table = solve_invariant(DpConfig(epsilon, frozen_at, g)).strategy
     played = frozen_losses(EvalStrategy.from_table(table), priors)
     rows = [

@@ -55,6 +55,13 @@ def test_solve_grid_whose_point_count_overflows_exits_2(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_solve_grid_too_large_to_index_exits_2(capsys):
+    # u_max / du is finite, but numpy cannot size the grid: refused before allocating
+    rc = main(["solve", "--epsilon", "0.5", "--d", "1", "--u-max", "1e200", "--du", "1e-10"])
+    assert rc == 2
+    assert "one float array can hold" in capsys.readouterr().err
+
+
 def test_validation_failure_leaves_no_output(tmp_path, capsys):
     out = tmp_path / "x.json"
     rc = main(["solve", "--epsilon", "0.3", "--d", "1.0", "--out", str(out)])
@@ -325,10 +332,17 @@ def test_search_subcommand(capsys):
     assert len(doc["curve"]) == 9
 
 
-def test_search_multi_atom_needs_dp(capsys):
-    rc = main(["search", "--backend", "pde", "--epsilon", "0.01",
-               "--multi-atom", "2"])
-    assert rc == 2
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [(["search", "--epsilon", "0.1"], "multi_atom", 2),
+     (["simulate", "--strategy", "unused.csv"], "per_item", True)],
+)
+def test_config_file_with_a_removed_option_exits_2(tmp_path, capsys, argv, key, value):
+    # a config file written for an older release fails loudly, not silently
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -374,12 +388,11 @@ def _sample(param):
     """A legal value for the parameter that differs from its default."""
     if param.choices:
         return param.choices[-1]
-    return {bool: True, int: 3, float: 0.375, str: "x.json"}[param.type]
+    return {int: 3, float: 0.375, str: "x.json"}[param.type]
 
 
 def _flag(param, value):
-    flag = "--" + param.name.replace("_", "-")
-    return [flag] if value is True else [flag, str(value)]
+    return ["--" + param.name.replace("_", "-"), str(value)]
 
 
 DECLARED = [(name, p) for name, command in cli.COMMANDS.items() for p in command.params]

@@ -16,7 +16,6 @@ from batchbandit.search import (
     refine,
     saddle_check,
     scan,
-    search_multi_atom,
 )
 from batchbandit.strategy_eval import EvalResult, EvalStrategy, evaluate, frozen_losses
 
@@ -55,6 +54,19 @@ def test_scan_validates_range():
         scan(1.0, 2.0, 0.0, epsilon=EPS, grid=GRID)
     with pytest.raises(ConfigurationError):
         scan(1.0, 2.0, 0.1, backend="fem", epsilon=EPS, grid=GRID)
+
+
+@pytest.mark.parametrize(
+    "d_min, d_max, step",
+    [
+        (1.0, 2.0, 1e-20),  # stalls at d_min: 1.0 + 1e-20 == 1.0
+        (1.0, 2.0, 1.5e-16),  # advances below 2.0, stalls there: 2.0 + 1.5e-16 == 2.0
+        (1.0, 1.0 + 2**-52, 2**-53),  # d_max + step > d_max, yet 1.0 + step ties to 1.0
+    ],
+)
+def test_d_range_refuses_a_step_that_cannot_advance(d_min, d_max, step):
+    with pytest.raises(ConfigurationError, match="step must be positive and move every gap"):
+        search.d_range(d_min, d_max, step)
 
 
 def test_risk_vanishes_with_the_gap():
@@ -110,18 +122,23 @@ def test_refine_flags_boundary_maximum():
     assert res.evaluations == 0
 
 
-def test_refine_locates_worst_gap():
+@pytest.fixture(scope="module")
+def worst_gap():
+    """The headline search at eps = 0.02: the scan and its refinement."""
     curve = scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.02)
-    res = refine(curve, tolerance=0.01)
+    return curve, refine(curve, tolerance=0.01)
+
+
+def test_refine_locates_worst_gap(worst_gap):
+    curve, res = worst_gap
     assert not res.boundary
     assert 1.5 < res.d_star < 1.75
     assert res.risk_star == pytest.approx(0.65, abs=0.02)
     assert res.risk_star >= curve.best().risk
 
 
-def test_saddle_check_passes_at_the_worst_gap():
-    curve = scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.02)
-    res = refine(curve, tolerance=0.01)
+def test_saddle_check_passes_at_the_worst_gap(worst_gap):
+    _, res = worst_gap
     ds = np.r_[np.arange(0.4, 16.1, 0.8), [18.0, 20.0]]
     report = saddle_check(res.d_star, 0.02, d_values=ds)
     assert report.passed
@@ -190,16 +207,20 @@ def test_saddle_check_needs_a_gap_within_the_cutoff(monkeypatch):
         saddle_check(18.0, EPS, grid=UGrid(2.0, 0.1), d_values=[20.0])
 
 
-def test_multi_atom_ascent_never_regresses():
-    res = search_multi_atom(0.02, 2, sweeps=1, w_bounds=(0.5, 2.5), tolerance=0.05)
-    # the ascent starts from atoms 1.0 and 2.2 with equal mass
-    start = SymmetricPrior(((1.0, 0.5), (2.2, 0.5)))
-    start_risk = solve_invariant(DpConfig(0.02, start), keep_strategy=False).bayes_risk
-    assert res.risk >= start_risk - 1e-12
-    assert res.evaluations > 0
-    assert math.isclose(sum(p for _, p in res.prior.atoms), 1.0, abs_tol=1e-9)
-    two_point = refine(scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.02), tolerance=0.01)
-    # spreading mass across atom pairs should not beat the two-point family,
-    # but the ascent must land in its neighborhood
-    assert res.risk <= two_point.risk_star + 1e-6
-    assert res.risk >= two_point.risk_star - 0.005
+def test_saddle_certificate_bounds_multi_atom_priors(worst_gap):
+    # a frozen strategy's loss is linear in the prior, so a dense saddle
+    # pass bounds the Bayes risk of every symmetric prior on its gaps
+    _, res = worst_gap
+    report = saddle_check(res.d_star, 0.02, d_values=np.arange(0.05, 15.8, 0.05))
+    assert report.passed
+    assert report.max_within_cutoff <= res.risk_star + 1e-3
+    frozen = EvalStrategy.from_table(
+        solve_invariant(DpConfig(0.02, SymmetricPrior.two_point(res.d_star))).strategy
+    )
+    two_atoms = SymmetricPrior(((1.0, 0.5), (2.2, 0.5)))
+    mixed, at_1, at_2 = frozen_losses(
+        frozen, [two_atoms, SymmetricPrior.two_point(1.0), SymmetricPrior.two_point(2.2)]
+    )
+    assert abs(mixed.total_loss - 0.5 * (at_1.total_loss + at_2.total_loss)) <= 1e-15
+    bayes = solve_invariant(DpConfig(0.02, two_atoms), keep_strategy=False).bayes_risk
+    assert bayes <= mixed.total_loss <= res.risk_star

@@ -102,18 +102,6 @@ def test_forced_initial_stage_appears_in_the_loss(table50):
     assert abs(forced.normalized_loss_mean - want) <= 3.0 * forced.standard_error
 
 
-def test_per_item_draws_agree_with_binomial_counts():
-    out = solve_invariant(DpConfig(0.05, SymmetricPrior.two_point(1.6)))
-    base = dict(n_items=1000, batch_size=50, p=0.4, d=1.6, replications=4000)
-    per_packet = simulate_bernoulli(BatchTrialConfig(**base, seed=41), out.strategy)
-    per_item = simulate_bernoulli(
-        BatchTrialConfig(**base, seed=43, per_item=True), out.strategy
-    )
-    combined = math.hypot(per_packet.standard_error, per_item.standard_error)
-    gap = abs(per_packet.normalized_loss_mean - per_item.normalized_loss_mean)
-    assert gap <= 3.0 * combined
-
-
 def test_normalization_bridge_is_exact():
     cfg = BatchTrialConfig(5000, 100, 0.5, 1.6, replications=1, seed=0)
     N, M = cfg.n_packets, cfg.batch_size

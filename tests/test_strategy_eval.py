@@ -106,6 +106,14 @@ def test_risk_curve_with_frozen_strategy_dominates_bayes():
     assert mid.expected_loss == pytest.approx(mid.bayes_risk, abs=1e-9)
 
 
+def test_risk_curve_freezes_at_the_first_local_maximum_by_default():
+    # at eps = 0.02 the forced stage 2*eps*d lifts the Bayes risk at d = 20
+    # above the interior maximum near 1.6; the default freeze stays there
+    _, rows = risk_curve([1.6, 8.0, 20.0], 0.02)
+    assert [round(r.bayes_risk, 4) for r in rows] == [0.6516, 0.3913, 0.8]
+    assert rows[0].expected_loss == pytest.approx(rows[0].bayes_risk, abs=1e-12)
+
+
 def test_strategy_lattice_must_be_a_bool_array_of_the_lattice_shape():
     grid = UGrid(2.0, 0.05)
     shape = (5, 5, grid.n_points)  # epsilon = 0.25
