@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,41 +135,30 @@ def _j6(x: float) -> float:
 
 
 def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
-    """Prior from --d or --prior-file (atoms [[w, pi], ...] plus optional c)."""
+    """Prior from --d or --prior-file (atoms [[w, pi], ...], no other key)."""
     if cfg.get("prior_file"):
         path = Path(cfg["prior_file"])
         doc = _load_json(path, "prior")
+        unknown = sorted(set(doc) - {"atoms"}) if isinstance(doc, dict) else []
+        if unknown:
+            raise ConfigurationError(f"{path}: unknown prior keys: {unknown}")
         try:
             atoms = tuple((float(w), float(p)) for w, p in doc["atoms"])
-            c = doc.get("c")
-            c = math.inf if c in (None, "inf") else float(c)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            raise ConfigurationError(
-                f"{path}: expected {{'atoms': [[w, pi], ...], 'c': optional}}"
-            ) from None
-        return SymmetricPrior(atoms, c=c), None
+        except (KeyError, TypeError, ValueError):
+            raise ConfigurationError(f"{path}: expected {{'atoms': [[w, pi], ...]}}") from None
+        return SymmetricPrior(atoms), None
     if cfg.get("d") is None:
         raise ConfigurationError("need either --d or --prior-file")
     return SymmetricPrior.two_point(cfg["d"]), cfg["d"]
 
 
-def _solve_and_save(cfg: dict, prior: SymmetricPrior, strategy_out: str | None):
-    """One dp solve; the action table is built and saved only for strategy_out."""
-    config = DpConfig(cfg["epsilon"], prior, cfg["grid"])
-    out = solve_invariant(config, keep_strategy=bool(strategy_out))
-    if strategy_out:
-        save_strategy(out.strategy, strategy_out, prior)
-    return out
-
-
 @_command(
     "solve", "backward recursion at a fixed batch fraction",
     _EPSILON, _D, _PRIOR_FILE, *_GRID, _OUT,
-    Param("strategy_out", help="also export the strategy table CSV"),
 )
 def _cmd_solve(cfg: dict) -> dict:
     prior, d = _resolve_prior(cfg)
-    out = _solve_and_save(cfg, prior, cfg["strategy_out"])
+    out = solve_invariant(DpConfig(cfg["epsilon"], prior, cfg["grid"]), keep_strategy=False)
     return {
         "epsilon": cfg["epsilon"],
         "d": d,
@@ -276,7 +264,8 @@ def _cmd_simulate(cfg: dict) -> dict:
 )
 def _cmd_export_strategy(cfg: dict) -> None:
     prior, _ = _resolve_prior(cfg)
-    _solve_and_save(cfg, prior, cfg["out"])
+    out = solve_invariant(DpConfig(cfg["epsilon"], prior, cfg["grid"]))
+    save_strategy(out.strategy, cfg["out"], prior)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,12 +38,10 @@ class SymmetricPrior:
     """Symmetric discrete prior on the scaled half-gap.
 
     atoms: tuple of (w_i, pi_i) with w_i > 0 distinct and sum(pi_i) = 1,
-    meaning mass pi_i/2 at +w_i and pi_i/2 at -w_i.  c bounds the support
-    (may be +inf; atoms only need w_i <= c).
+    meaning mass pi_i/2 at +w_i and pi_i/2 at -w_i.
     """
 
     atoms: tuple[tuple[float, float], ...]
-    c: float = math.inf
 
     def __post_init__(self):
         atoms = tuple((float(w), float(p)) for w, p in self.atoms)
@@ -57,18 +55,14 @@ class SymmetricPrior:
             raise ConfigurationError("atom positions must be distinct")
         if not all(0.0 < p < math.inf for _, p in atoms):  # NaN fails too
             raise ConfigurationError("atom weights must be positive and finite")
-        if not (self.c > 0.0):
-            raise ConfigurationError("support bound c must be positive")
-        if max(ws) > self.c + 1e-12:
-            raise ConfigurationError(f"atom position {max(ws)} exceeds support bound c={self.c}")
         total = sum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"atom weights must sum to 1, got {total}")
 
     @classmethod
-    def two_point(cls, d: float, c: float = math.inf) -> "SymmetricPrior":
+    def two_point(cls, d: float) -> "SymmetricPrior":
         """Prior concentrated at +-d with equal mass."""
-        return cls(((float(d), 1.0),), c=c)
+        return cls(((float(d), 1.0),))
 
     @property
     def mean_w(self) -> float:

@@ -1,18 +1,20 @@
 """Strategy-table persistence.
 
 A table is a CSV `k1,k2,u_index,action`, action being the arm played (1 or
-2), covering every decision state (2 <= k1 + k2 <= n_packets - 1, every
-grid index) plus a JSON sidecar <name>.meta.json recording epsilon, the
-grid, the prior the table was solved under, the tie-break rule and a
-format version.  CSV keeps the tables human-diffable; the default lattice
-is about a million short rows, written state by state in sweep order
-through a temp file and rename, so a failed run leaves no partial output.
+2), plus a JSON sidecar <name>.meta.json recording epsilon, the grid, the
+prior the table was solved under, the tie-break rule and a format version.
+Format v1 fixes the row order: the decision states (k1, k2) with
+2 <= k1 + k2 <= n_packets - 1 by k1 + k2, then by k1 (`_states`), and within
+each state every grid index in turn.  The loader checks the rows against
+that order, so the first three columns only name the row for a reader.
+CSV keeps the tables human-diffable; the default lattice is about a million
+short rows, written through a temp file and rename, so a failed run leaves
+no partial output.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
@@ -44,6 +46,11 @@ def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
+def _states(P: int) -> list[tuple[int, int]]:
+    """The decision states (k1, k2) in the order the table lists them."""
+    return [(k1, K - k1) for K in range(2, P) for k1 in range(K + 1)]
+
+
 def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
     """Write the CSV table and its .meta.json sidecar atomically; the sidecar
     records the prior the table was solved under."""
@@ -54,10 +61,7 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
         "epsilon": table.epsilon,
         "n_packets": P,
         "grid": {"u_max": table.grid.u_max, "du": table.grid.du, "n_points": n_u},
-        "prior": {
-            "atoms": [[w, p] for w, p in prior.atoms],
-            "c": prior.c if math.isfinite(prior.c) else "inf",
-        },
+        "prior": {"atoms": [[w, p] for w, p in prior.atoms]},
         "tie_break": "prefer-action-1",
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
@@ -67,11 +71,10 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
     def write_rows(tmp: Path) -> None:
         with open(tmp, "w") as fh:
             fh.write(_HEADER + "\n")
-            for K in range(2, P):
-                for k1 in range(K + 1):
-                    prefix = f"{k1},{K - k1},"
-                    row = np.where(table.arm1[k1, K - k1], tails[1], tails[0]).tolist()
-                    fh.write(prefix + ("\n" + prefix).join(row) + "\n")
+            for k1, k2 in _states(P):
+                prefix = f"{k1},{k2},"
+                row = np.where(table.arm1[k1, k2], tails[1], tails[0]).tolist()
+                fh.write(prefix + ("\n" + prefix).join(row) + "\n")
 
     atomic_write(path, write_rows)
     atomic_write(
@@ -127,7 +130,8 @@ def _load_meta(path: Path) -> dict:
 
 
 def load_strategy(path) -> StrategyTable:
-    """Read a CSV table written by save_strategy, validating the full lattice."""
+    """Read a CSV table written by save_strategy: every decision state's rows, in
+    the writer's order, each with action 1 or 2."""
     path = Path(path)
     if not path.exists():
         raise StrategyFormatError(f"no such strategy file: {path}")
@@ -166,30 +170,29 @@ def load_strategy(path) -> StrategyTable:
     if rows.shape[1] != 4:
         raise StrategyFormatError(f"{path}: expected 4 columns, got {rows.shape[1]}")
 
-    k1, k2, iu, act = rows.T
-    K = k1 + k2
-    for name, bad in (
-        ("negative k1/k2", (k1 < 0) | (k2 < 0)),
-        ("k1 + k2 outside [2, n_packets - 1]", (K < 2) | (K > P - 1)),
-        ("u_index outside the grid", (iu < 0) | (iu >= n_u)),
-        ("action not in {1, 2}", (act != 1) & (act != 2)),
-    ):
-        if bad.any():
-            lineno = int(np.argmax(bad)) + 2
-            raise StrategyFormatError(f"{path}: line {lineno}: {name}")
-    # The decision states number n_u * (3 + 4 + ... + P) and every row names one by now,
-    # so surplus rows repeat one; a short table is refused before anything of lattice size.
+    # The decision states number n_u * (3 + 4 + ... + P); a table of any other
+    # length is refused before anything of lattice size.
     expected = n_u * (P * (P + 1) // 2 - 3)
-    if k1.size < expected:
+    if len(rows) != expected:
         raise StrategyFormatError(
-            f"{path}: table has {k1.size} rows, the lattice needs {expected}"
+            f"{path}: line {min(len(rows), expected) + 2}: table has {len(rows)} rows, "
+            f"the lattice needs {expected}"
         )
-    lin = (k1 * (P + 1) + k2) * n_u + iu
-    repeated = np.bincount(lin) > 1
-    if repeated.any():
-        dup = np.flatnonzero(lin == np.argmax(repeated))[1]
-        raise StrategyFormatError(f"{path}: line {int(dup) + 2}: duplicate state row")
+    states = np.array(_states(P), dtype=np.int64).reshape(-1, 2)
+    v = rows.reshape(len(states), n_u, 4)  # a view: one block of n_u rows per state
+    act = v[..., 3]
+    bad = (v[..., :2] != states[:, None]).any(axis=2) | (v[..., 2] != np.arange(n_u))
+    bad |= (act != 1) & (act != 2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        want = (*states[i // n_u].tolist(), i % n_u)
+        got = tuple(rows[i, :3].tolist())
+        what = (
+            "action not in {1, 2}" if got == want
+            else f"k1,k2,u_index {got} out of writer order, expected {want}"
+        )
+        raise StrategyFormatError(f"{path}: line {i + 2}: {what}")
 
     arm1 = np.zeros((P + 1, P + 1, n_u), dtype=bool)
-    arm1[k1, k2, iu] = act == 1
+    arm1[states[:, 0], states[:, 1]] = act == 1
     return StrategyTable(epsilon=eps, grid=grid, arm1=arm1)

@@ -82,6 +82,18 @@ def test_prior_file(tmp_path, capsys):
     assert doc["bayes_risk"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [({"atoms": [[1.0, 1.0]], "c": 1.5}, "c"), ({"atoms": [[1.0, 1.0]], "atom": 1}, "atom")],
+    ids=["removed-support-bound", "misspelt-key"],
+)
+def test_prior_file_with_a_key_other_than_atoms_exits_2(tmp_path, capsys, doc, key):
+    pf = tmp_path / "prior.json"
+    pf.write_text(json.dumps(doc))
+    assert main(["solve", "--epsilon", "0.1", "--prior-file", str(pf)]) == 2
+    assert f"unknown prior keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_prior_file_with_a_nan_weight_exits_2(tmp_path, capsys):
     pf = tmp_path / "prior.json"
     pf.write_text('{"atoms": [[1.0, NaN]]}')  # Python's json reads NaN
@@ -120,7 +132,8 @@ def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, argv, doc):
     assert next(iter(doc)) in capsys.readouterr().err
 
 
-def test_solve_builds_the_action_table_only_for_strategy_out(tmp_path, monkeypatch, capsys):
+def test_solve_never_builds_the_action_table(monkeypatch, capsys):
+    # at eps = 0.001 the action table alone is about 800 MB
     seen = []
 
     def spy(config, **kwargs):
@@ -130,8 +143,7 @@ def test_solve_builds_the_action_table_only_for_strategy_out(tmp_path, monkeypat
     monkeypatch.setattr(cli, "solve_invariant", spy)
     argv = ["solve", "--epsilon", "0.25", "--d", "1.0", "--u-max", "2.0", "--du", "0.05"]
     run_json(capsys, argv)
-    assert main([*argv, "--strategy-out", str(tmp_path / "s.csv")]) == 0
-    assert seen == [False, True]
+    assert seen == [False]
 
 
 def test_unexpected_error_inside_the_solver_exits_1(monkeypatch, capsys):
@@ -325,17 +337,27 @@ def test_pde_unstable_pairing_exits_2(capsys):
 
 
 def test_search_subcommand(capsys):
-    doc = run_json(capsys, ["search", "--backend", "dp", "--epsilon", "0.02"])
-    assert 1.5 <= doc["d_star"] <= 1.75
-    assert doc["risk_star"] == pytest.approx(0.65, abs=0.02)
-    assert doc["boundary"] is False
+    # eps = 0.05 keeps an interior maximum at a fifth of the headline search's cost
+    doc = run_json(capsys, ["search", "--backend", "dp", "--epsilon", "0.05"])
+    curve = search.scan(0.5, 2.5, 0.25, backend="dp", epsilon=0.05)
+    res = search.refine(curve, tolerance=0.01)
+    six = dict(rel=5e-6)  # the summary prints six significant digits
+    assert doc["d_star"] == pytest.approx(res.d_star, **six)
+    assert doc["d_star"] == pytest.approx(1.74516, **six)
+    assert doc["risk_star"] == pytest.approx(res.risk_star, **six)
+    assert doc["boundary"] is res.boundary is False
+    assert doc["evaluations"] == res.evaluations
+    assert [(p["d"], p["risk"]) for p in doc["curve"]] == [
+        (pytest.approx(p.d, **six), pytest.approx(p.risk, **six)) for p in curve.points
+    ]
     assert len(doc["curve"]) == 9
 
 
 @pytest.mark.parametrize(
     "argv, key, value",
     [(["search", "--epsilon", "0.1"], "multi_atom", 2),
-     (["simulate", "--strategy", "unused.csv"], "per_item", True)],
+     (["simulate", "--strategy", "unused.csv"], "per_item", True),
+     (["solve", "--epsilon", "0.1", "--d", "1"], "strategy_out", "s.csv")],
 )
 def test_config_file_with_a_removed_option_exits_2(tmp_path, capsys, argv, key, value):
     # a config file written for an older release fails loudly, not silently

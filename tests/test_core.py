@@ -262,8 +262,6 @@ class TestPrior:
         with pytest.raises(ConfigurationError):
             SymmetricPrior(((1.0, 0.5), (1.0, 0.5)))  # duplicate position
         with pytest.raises(ConfigurationError):
-            SymmetricPrior(((2.0, 1.0),), c=1.5)  # atom beyond support bound
-        with pytest.raises(ConfigurationError):
             SymmetricPrior(())
 
     @pytest.mark.parametrize(
@@ -273,8 +271,3 @@ class TestPrior:
         # abs(nan - 1) > 1e-9 is False: the sum check alone lets NaN through
         with pytest.raises(ConfigurationError, match="positive and finite"):
             SymmetricPrior(atoms)
-
-    def test_support_bound_accepts_atom_at_c(self):
-        prior = SymmetricPrior(((1.5, 1.0),), c=1.5)
-        assert prior.c == 1.5
-

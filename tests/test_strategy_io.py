@@ -123,11 +123,33 @@ def test_bad_action_value(solved, tmp_path):
 
 
 def test_duplicate_row(solved, tmp_path):
+    # the repeat replaces a row, so the count holds and the order check finds it
+    path = _saved(solved, tmp_path)
+    lines = path.read_text().splitlines()
+    lines[9] = lines[4]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StrategyFormatError, match=r"line 10: .* out of writer order"):
+        load_strategy(path)
+
+
+def test_appended_row_is_refused_by_the_count(solved, tmp_path):
     path = _saved(solved, tmp_path)
     lines = path.read_text().splitlines()
     lines.append(lines[1])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(StrategyFormatError, match=rf"line {len(lines)}: duplicate"):
+    with pytest.raises(StrategyFormatError, match=rf"line {len(lines)}: .*lattice needs"):
+        load_strategy(path)
+
+
+@pytest.mark.parametrize("n", [1, GRID.n_points], ids=["two-rows-of-one-state", "two-states"])
+def test_rows_out_of_writer_order_are_refused(solved, tmp_path, n):
+    # swap two adjacent blocks of n rows: two grid points of a state, or two states
+    path = _saved(solved, tmp_path)
+    lines = path.read_text().splitlines()
+    first, second, end = 1 + n, 1 + 2 * n, 1 + 3 * n
+    lines[first:second], lines[second:end] = lines[second:end], lines[first:second]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StrategyFormatError, match=rf"line {first + 1}: .* out of writer order"):
         load_strategy(path)
 
 
@@ -138,6 +160,23 @@ def test_missing_row(solved, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(StrategyFormatError, match="lattice needs"):
         load_strategy(path)
+
+
+def test_load_peaks_near_the_parsed_rows(tmp_path):
+    # the headline table (eps 0.02, default grid, 1,018,944 rows): beyond the
+    # parsed int64 rows the loader builds only bool masks and the lattice
+    table = solve_invariant(DpConfig(0.02, SymmetricPrior.two_point(1.6))).strategy
+    path = tmp_path / "s.csv"
+    save_strategy(table, path, SymmetricPrior.two_point(1.6))
+    n_rows = table.grid.n_points * (table.n_packets * (table.n_packets + 1) // 2 - 3)
+    tracemalloc.start()
+    try:
+        loaded = load_strategy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.arm1, table.arm1)
+    assert peak < 1.5 * n_rows * 4 * 8
 
 
 def test_sidecar_claiming_a_far_larger_lattice_is_refused_before_allocating_it(
