@@ -27,6 +27,7 @@ table picks; pde.solve_pde steps a 3-tap stencil on half the rows.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,12 @@ class SolveOutput:
     bayes_risk_no_initial: float
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Refuse, before it is allocated, what exceeds the machine's physical memory."""
+    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigurationError(f"{what} needs about {need:.3g} bytes, over physical memory")
+
+
 def backward_sweep(
     epsilon: float,
     grid: UGrid,
@@ -130,9 +137,11 @@ def backward_sweep(
     g1 mirrored in u.  step(K, succ, half) may overwrite half; it returns the
     K + 1 rows of diagonal K, or fewer when rows k1 > K/2 mirror rows K - k1.
     slices holds every diagonal with keep_values (a mirror as a reversed
-    view), otherwise only (1, 1).
+    view), otherwise only (1, 1).  A grid whose sweep buffers (about four
+    (n_packets + 1) x n_u float blocks) exceed physical memory is refused first.
     """
     n_packets = packet_count(epsilon)
+    _check_memory(4 * (n_packets + 1) * grid.n_points * 8, "the sweep")
     u = grid.points
     succ = np.zeros((n_packets + 1, u.size))
     slices: dict[tuple[int, int], np.ndarray] = {}
@@ -202,6 +211,8 @@ def solve_invariant(
     """
     P = config.n_packets
     grid, prior, eps = config.grid, config.prior, config.epsilon
+    if keep_strategy:
+        _check_memory((P + 1) ** 2 * grid.n_points, "the action table")
     arm1 = np.zeros((P + 1, P + 1, grid.n_points), dtype=bool) if keep_strategy else None
 
     def argmin(K, l1, l2):

@@ -28,6 +28,8 @@ SADDLE_CUTOFF = 16.0
 # the forward sweep's saddle_check loss at d_star may differ from the
 # backward sweep's by rounding only
 ANCHOR_TOLERANCE = 1e-12
+# d_range refuses a range of more gaps than this: each gap is one solve
+MAX_GAPS = 100_000
 
 
 def backend_grid(backend: str, u_max: float | None = None, du: float | None = None) -> UGrid:
@@ -77,7 +79,8 @@ class ScanCurve:
 def d_range(d_min: float, d_max: float, step: float) -> list[float]:
     """Gaps d_min, d_min + step, ... up to d_max, with d_max appended when the
     step does not reach it exactly.  A step of at most half an ulp of the top
-    gap would leave some gap unchanged and the range unending: it is refused."""
+    gap would leave some gap unchanged and the range unending: it is refused,
+    as is a range of more than MAX_GAPS gaps, before any is built."""
     if not (0.0 < d_min <= d_max):
         raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
     top = d_max + 1e-12
@@ -85,6 +88,8 @@ def d_range(d_min: float, d_max: float, step: float) -> list[float]:
         raise ConfigurationError(
             f"step must be positive and move every gap up to d_max = {d_max}, got {step}"
         )
+    if d_min < d_max and (n := math.ceil((d_max - d_min) / step) + 1) > MAX_GAPS:
+        raise ConfigurationError(f"step {step} gives {n} gaps in [{d_min}, {d_max}], > {MAX_GAPS}")
     ds = [d_min]
     while ds[-1] + step <= top and d_min < d_max:
         ds.append(ds[-1] + step)

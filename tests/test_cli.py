@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,34 @@ def test_solve_grid_too_large_to_index_exits_2(capsys):
     rc = main(["solve", "--epsilon", "0.5", "--d", "1", "--u-max", "1e200", "--du", "1e-10"])
     assert rc == 2
     assert "one float array can hold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "export-strategy"])
+def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, command):
+    # 2e15 grid points: the sweep alone needs about 4 * 3 * 2e15 * 8 bytes
+    argv = [command, "--epsilon", "0.5", "--d", "1", "--u-max", "1e6", "--du", "1e-9"]
+    tracemalloc.start()
+    try:
+        rc = main(argv + (["--out", str(tmp_path / "s.csv")] if command != "solve" else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "over physical memory" in capsys.readouterr().err
+    assert peak < 10_000_000
+
+
+def test_search_with_too_many_gaps_exits_2_before_building_them(capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["search", "--epsilon", "0.5", "--d-min", "1", "--d-max", "2",
+                   "--step", "1e-15"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"> {search.MAX_GAPS}" in capsys.readouterr().err
+    assert peak < 10_000_000
 
 
 def test_validation_failure_leaves_no_output(tmp_path, capsys):

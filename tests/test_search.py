@@ -69,6 +69,13 @@ def test_d_range_refuses_a_step_that_cannot_advance(d_min, d_max, step):
         search.d_range(d_min, d_max, step)
 
 
+def test_d_range_counts_its_gaps_before_building_them():
+    assert len(search.d_range(0.2, 20.0, 0.2)) == 100  # figure1's default range
+    want = rf"1000001 gaps in \[1.0, 2.0\], > {search.MAX_GAPS}"
+    with pytest.raises(ConfigurationError, match=want):
+        search.d_range(1.0, 2.0, 1e-6)
+
+
 def test_risk_vanishes_with_the_gap():
     curve = scan(0.01, 1.6, 0.2, backend="dp", epsilon=EPS, grid=GRID)
     assert curve.points[0].risk < 0.02
