@@ -198,12 +198,22 @@ def gaussian_kernel(variance: float, grid: UGrid) -> np.ndarray:
 
 def convolve_zero_padded(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolution against a centered kernel with Dirichlet-0 reads beyond the
-    ends of `values`; offsets are grid-aligned so no interpolation happens."""
+    ends of `values`; offsets are grid-aligned so no interpolation happens.
+
+    The kernel must be odd-length and symmetric, as gaussian_kernel's weights
+    are bitwise.  np.convolve(values, kernel) is then the correlation
+    against the kernel itself, and the "same" mode of np.correlate computes
+    only the values.size middle outputs of it, each with the same products
+    in the same order: bitwise the full convolution's middle.  A kernel
+    longer than the row makes "same" return the kernel's length, so it takes
+    the full convolution's slice.
+    """
     if kernel.size == 1:
         return values * kernel[0]
-    full = np.convolve(values, kernel)
-    half = kernel.size // 2
-    return full[half : half + values.size]
+    if kernel.size > values.size:
+        half = kernel.size // 2
+        return np.convolve(values, kernel)[half : half + values.size]
+    return np.correlate(values, kernel, "same")
 
 
 def centered_gaussian_weights(grid: UGrid, variance: float) -> tuple[np.ndarray, np.ndarray]:

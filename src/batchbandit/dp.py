@@ -22,6 +22,9 @@ per diagonal, step(K, succ, half).  gaussian_step convolves for
 solve_invariant, which takes the argmin and records it as the StrategyTable's
 arm-1 mask, and for strategy_eval.evaluate, which plays the arm a fixed
 table picks; pde.solve_pde steps a 3-tap stencil on half the rows.
+gaussian_step and strategy_eval.frozen_losses take each diagonal's
+transition kernels from _LatticeKernels, which holds one lattice's kernels
+while sweeps on it follow one another.
 """
 
 from __future__ import annotations
@@ -181,13 +184,52 @@ def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
     ]
 
 
+class _LatticeKernels:
+    """The diagonal_kernels of one lattice (epsilon, grid), shared by the
+    sweeps on it.
+
+    A sweep on a lattice other than the last one swept builds each
+    diagonal's kernels and drops them, and releases what was kept; a second
+    consecutive sweep on a lattice keeps its kernels for the sweeps after
+    it.  So at most one lattice's kernels are held (0.87 MB at eps = 0.02
+    on the default grid), and a lattice swept once, as a fine Richardson
+    solve is, holds none.
+    """
+
+    def __init__(self):
+        self.lattice = None
+        self.kept = None
+
+    def for_sweep(self, epsilon: float, grid: UGrid):
+        """kernels(K), diagonal K's kernels, for one sweep on this lattice."""
+        lattice = (epsilon, grid.u_max, grid.du)
+        if lattice != self.lattice:
+            self.lattice, self.kept = lattice, None
+            return lambda K: diagonal_kernels(epsilon, grid, K)
+        if self.kept is None:
+            self.kept = {}
+        kept = self.kept
+
+        def kernels(K):
+            if K not in kept:
+                kept[K] = diagonal_kernels(epsilon, grid, K)
+            return kept[K]
+
+        return kernels
+
+
+_KERNELS = _LatticeKernels()
+
+
 def gaussian_step(epsilon: float, grid: UGrid, combine):
     """backward_sweep's step for the exact recursion: both actions' rows add
     their successor rows convolved with the transition kernels, and
-    combine(K, l1, l2) turns the two action values into the diagonal's."""
+    combine(K, l1, l2) turns the two action values into the diagonal's.
+    Each call is one sweep on the lattice for _LatticeKernels."""
+    lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
 
     def step(K, succ, half):
-        kernels = diagonal_kernels(epsilon, grid, K)
+        kernels = lattice_kernels(K)
         k1 = np.arange(K + 1)
         l1 = half[np.minimum(k1, K - k1)]
         l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions

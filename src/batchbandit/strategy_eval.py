@@ -19,6 +19,18 @@ the density of the state reached on each diagonal weighed by the loss
 played there, for every prior alike.  The kernels are bitwise symmetric
 Gaussian weights, so the adjoint of a Dirichlet-0 convolution is the same
 convolution: the backward sweep's own core.convolve_zero_padded.
+
+The loss weighs each diagonal's played density, folded onto the rows
+j = k1 <= K/2, for all priors at once.  Each atom w of the priors adds
+
+    w * sum_j C[j] * (played[j] @ E),   E = exp(-2*u*w),   C[j] = exp(-2*tau_j*w^2),
+
+the profile's exponential factored into a part in u, built once per call,
+and a part in tau_j = t1*t2/t, built once per diagonal, so one matrix
+product of the played rows with every atom's E replaces a loss profile per
+prior.  A prior's loss is its atoms' sums weighted by their masses.  Where
+2*w*u_max exceeds core.EXP_CLIP the profile's clip can act and E could
+overflow, so those atoms keep the clipped profile, core.loss_profile.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXP_CLIP,
     ConfigurationError,
     InternalError,
     SymmetricPrior,
@@ -37,10 +50,10 @@ from .core import (
     loss_profile,
 )
 from .dp import (
+    _KERNELS,
     DpConfig,
     StrategyTable,
     backward_sweep,
-    diagonal_kernels,
     gaussian_step,
     solve_invariant,
 )
@@ -82,12 +95,26 @@ def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
     part moves to row k1 + 1 of diagonal K + 1 through kernel K - k1, the
     arm-2 part stays on row k1 through kernel k1.  The played mass folds onto
     the rows k1 <= K/2 (g1 is equal on rows k1 and K - k1, and g2 is g1
-    mirrored in u), where each prior's half-row loss profile weighs it.  At
-    most two diagonals of density are alive at once.
+    mirrored in u), where every atom's loss weighs it at once (see the
+    module docstring).  At most two diagonals of density are alive at once.
     """
     eps, grid, P = strategy.epsilon, strategy.grid, strategy.n_packets
     priors = list(priors)
     u = grid.points
+    # every distinct atom of every prior; mass[i, a] is prior i's weight on atom a
+    col = {w: a for a, w in enumerate(sorted({w for prior in priors for w, _ in prior.atoms}))}
+    mass = np.zeros((len(priors), len(col)))
+    for i, prior in enumerate(priors):
+        for w, p in prior.atoms:
+            mass[i, col[w]] = p
+    w = np.array(list(col), dtype=float)
+    # where 2*w*u_max exceeds EXP_CLIP the loss profile's clip can act, so
+    # those atoms keep it; the others factor exp(-2*u*w) out of every diagonal
+    clip = 2.0 * w * grid.u_max > EXP_CLIP
+    w_exp = w[~clip]
+    e_u = np.exp(np.multiply.outer(u, -2.0 * w_exp))
+    unit_priors = [SymmetricPrior.two_point(d) for d in w[clip]]
+    factored_sums, clipped_sums = np.zeros(w_exp.size), np.zeros(len(unit_priors))
     # the statistic after the two forced batches: N(0, eps/2) on row (1, 1),
     # the weights the backward sweep's risk assembly integrates against
     idx, weights = centered_gaussian_weights(grid, 0.5 * eps)
@@ -97,14 +124,14 @@ def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
     buf = np.zeros((3, P + 1, u.size))
     rho = buf[0, :3]
     rho[1, idx] = weights
-    acc = np.zeros(len(priors))
+    sweep_kernels = _KERNELS.for_sweep(eps, grid)
     for K in range(2, P):
         k1 = np.arange(K + 1)
         arm1 = strategy.arm1[k1, K - k1]
         on1, on2 = np.multiply(rho, arm1, out=buf[2, : K + 1]), rho
         np.putmask(on2, arm1, 0.0)  # the arm-2 part, in place
         if K + 1 < P:  # mass reaching the terminal diagonal adds nothing
-            kernels = diagonal_kernels(eps, grid, K)
+            kernels = sweep_kernels(K)
             rho = buf[1 - K % 2, : K + 2]
             rho.fill(0.0)
             for r in range(K + 1):
@@ -115,9 +142,16 @@ def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
         H = K // 2 + 1
         played[: K - H + 1] += played[H:][::-1]
         j = np.arange(H)
-        for i, prior in enumerate(priors):
-            acc[i] += np.vdot(played[:H], loss_profile(prior, u, j * eps, (K - j) * eps))
-    acc *= eps
+        t1, t2 = j * eps, (K - j) * eps
+        tau = t1 * t2 / (t1 + t2)
+        e_tau = np.exp(np.multiply.outer(tau, -2.0 * w_exp * w_exp))
+        factored_sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
+        for a, unit in enumerate(unit_priors):
+            clipped_sums[a] += np.vdot(played[:H], loss_profile(unit, u, t1, t2))
+    per_atom = np.empty(w.size)  # each atom's loss: w times its weighed exponentials
+    per_atom[~clip] = w_exp * factored_sums
+    per_atom[clip] = clipped_sums  # a unit atom's loss profile includes w
+    acc = eps * (mass @ per_atom)
     if not np.isfinite(acc).all():
         raise InternalError("non-finite loss in the forward sweep")
     return [

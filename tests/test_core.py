@@ -12,10 +12,13 @@ from batchbandit.core import (
     ConfigurationError,
     SymmetricPrior,
     UGrid,
+    convolve_zero_padded,
     gaussian_kernel,
     loss_profile,
+    packet_count,
     transition_variance,
 )
+from batchbandit.dp import diagonal_kernels
 
 
 def smeared_loss_oracle(atoms, ell, u, t1, t2, sigma=1e-5):
@@ -271,3 +274,22 @@ class TestPrior:
         # abs(nan - 1) > 1e-9 is False: the sum check alone lets NaN through
         with pytest.raises(ConfigurationError, match="positive and finite"):
             SymmetricPrior(atoms)
+
+
+@pytest.mark.parametrize(
+    "epsilon, grid",
+    [(0.1, UGrid()), (0.02, UGrid()), (0.005, UGrid()), (0.1, UGrid(0.2, 0.1))],
+)
+def test_convolution_is_bitwise_the_middle_of_the_full_convolution(epsilon, grid):
+    # every transition kernel of the lattice, against the full convolution's
+    # slice written out here; on the 5-point grid most kernels outgrow the row
+    values = np.random.default_rng(7).random(grid.n_points)
+    longer = 0
+    for K in range(2, packet_count(epsilon)):
+        for kernel in diagonal_kernels(epsilon, grid, K):
+            half = kernel.size // 2
+            want = np.convolve(values, kernel)[half : half + values.size]
+            got = convolve_zero_padded(values, kernel)
+            assert got.tobytes() == want.tobytes()
+            longer += kernel.size > values.size
+    assert (longer > 0) == (grid.n_points == 5)

@@ -1,10 +1,13 @@
 """Backward-recursion solver against an independent oracle and closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from batchbandit import dp
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
-from batchbandit.dp import DpConfig, solve_invariant
+from batchbandit.dp import DpConfig, diagonal_kernels, solve_invariant
 
 # The brute-force backward-quadrature oracle lives in dp_oracle.py so the
 # acceptance suite can run the same comparison.
@@ -146,3 +149,63 @@ def test_config_validation():
     DpConfig(0.25, prior, UGrid(4.0, 1.29))
     with pytest.raises(ConfigurationError, match="cannot resolve any kernel"):
         DpConfig(0.25, prior, UGrid(4.0, 1.31))
+
+
+# ---------------------------------------------------------------------------
+# Transition kernels shared by the sweeps on one lattice.
+# ---------------------------------------------------------------------------
+
+
+def _retained_bytes(*configs) -> list[int]:
+    """Traced bytes still allocated after each of the configs' solves, in order."""
+    retained = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for cfg in configs:
+            solve_invariant(cfg, keep_strategy=False)
+            retained.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_kernels_kept_from_the_second_sweep_on_are_the_fresh_ones():
+    grid = UGrid(3.0, 0.02)
+    cfgs = [DpConfig(0.1, SymmetricPrior.two_point(d), grid) for d in (1.2, 1.6, 2.0)]
+    other = DpConfig(0.25, SymmetricPrior.two_point(1.0), grid)
+    fresh_risks = []
+    for cfg in cfgs:  # each solve the first on its lattice: nothing kept
+        solve_invariant(other, keep_strategy=False)
+        fresh_risks.append(solve_invariant(cfg, keep_strategy=False).bayes_risk)
+        assert dp._KERNELS.kept is None
+    # the second solve keeps its kernels, the third runs on them
+    assert [solve_invariant(c, keep_strategy=False).bayes_risk for c in cfgs] == fresh_risks
+    kept = dp._KERNELS.kept
+    assert sorted(kept) == list(range(2, 10))
+    for K, kernels in kept.items():
+        fresh = diagonal_kernels(0.1, grid, K)
+        assert [k.tobytes() for k in kernels] == [k.tobytes() for k in fresh]
+
+
+def test_one_sweep_on_a_new_lattice_retains_nothing():
+    prior = SymmetricPrior.two_point(1.6)
+    grid, other = UGrid(3.0, 0.015), UGrid(2.0, 0.05)
+    grid.points, other.points  # cached before tracing
+    solve_invariant(DpConfig(0.25, prior, other))
+    (retained,) = _retained_bytes(DpConfig(0.02, prior, grid))
+    assert retained < 100_000
+
+
+def test_a_lattice_swept_once_releases_the_kernels_kept_before_it():
+    # the crosscheck pattern: eps = 0.02 solves keep their lattice's kernels
+    # (0.87 MB), the one fine Richardson solve keeps none and frees them
+    prior = SymmetricPrior.two_point(1.6)
+    grid = UGrid()
+    grid.points
+    coarse, fine = DpConfig(0.02, prior, grid), DpConfig(0.005, prior, grid)
+    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+    first, second, third, after_fine = _retained_bytes(coarse, coarse, coarse, fine)
+    assert first < 100_000 and second > 800_000
+    assert abs(third - second) < 100_000  # the third sweep reuses them
+    assert after_fine < 100_000

@@ -197,6 +197,31 @@ def test_forward_sweep_of_the_steady_arm_loses_d():
         assert ev.total_loss == pytest.approx(d, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "priors",
+    [
+        # the saddle check's 43 default gaps with d_star = 1.63
+        [
+            SymmetricPrior.two_point(d)
+            for d in [*np.arange(0.4, 16.0 + 1e-9, 0.4), 18.0, 20.0, 1.63]
+        ],
+        [SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))],
+        # 2*w*u_max = 800 > EXP_CLIP: the loss profile's clip acts at t1 = 0
+        [SymmetricPrior.two_point(100.0), SymmetricPrior(((1.6, 0.5), (100.0, 0.5)))],
+    ],
+    ids=["saddle-gaps", "multi-atom", "clipped"],
+)
+def test_factored_forward_sweep_matches_evaluate(priors):
+    grid = UGrid(4.0, 0.02)
+    frozen = EvalStrategy.from_table(
+        solve_invariant(DpConfig(0.1, SymmetricPrior.two_point(1.6), grid)).strategy
+    )
+    for prior, got in zip(priors, frozen_losses(frozen, priors)):
+        want = evaluate(frozen, prior)
+        assert abs(got.total_loss - want.total_loss) <= 1e-12
+        assert abs(got.loss_no_initial - want.loss_no_initial) <= 1e-12
+
+
 def test_risk_curve_evaluates_a_frozen_strategy_in_one_forward_sweep(monkeypatch):
     grid = UGrid(3.0, 0.02)
     frozen = EvalStrategy.from_table(
