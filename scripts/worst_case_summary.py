@@ -33,7 +33,6 @@ def main(argv=None):
     ap.add_argument("--tolerance", type=float, default=0.01)
     ap.add_argument("--limit-epsilon", type=float, default=0.001)
     ap.add_argument("--skip-limit", action="store_true", help="dp sweep only")
-    ap.add_argument("--skip-saddle", action="store_true")
     ap.add_argument("--out", help="summary JSON path (default: stdout)")
     args = ap.parse_args(argv)
     return exit_code(lambda: summarize(args))
@@ -62,18 +61,17 @@ def summarize(args) -> None:
         }
         summary["batching_penalty"] = dp_res.risk_star / limit_res.risk_star
 
-    if not args.skip_saddle:
-        report = saddle_check(dp_res.d_star, args.epsilon, tolerance=args.tolerance)
-        summary["saddle"] = {
-            "passed": report.passed,
-            "max_loss_within_cutoff": report.max_within_cutoff,
-            "equality_gap": report.equality_gap,
-            "cutoff": report.cutoff,
-            "exceedances": [
-                {"d": r.d, "loss": r.loss, "loss_no_initial": r.loss_no_initial}
-                for r in report.exceedances
-            ],
-        }
+    report = saddle_check(dp_res.d_star, args.epsilon, tolerance=args.tolerance)
+    summary["saddle"] = {
+        "passed": report.passed,
+        "max_loss_within_cutoff": report.max_within_cutoff,
+        "equality_gap": report.equality_gap,
+        "cutoff": report.cutoff,
+        "exceedances": [
+            {"d": r.d, "loss": r.loss, "loss_no_initial": r.loss_no_initial}
+            for r in report.exceedances
+        ],
+    }
 
     summary["seconds"] = round(time.perf_counter() - t0, 2)
     text = json.dumps(summary, indent=2)

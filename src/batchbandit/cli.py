@@ -8,8 +8,8 @@ default; an unset --u-max or --du takes the backend's library default
 (UGrid's for dp, PdeConfig's for pde).  Output floats carry six significant
 digits; files are written after the computation finishes (temp file +
 rename), so failures leave nothing behind.  Exit codes: 0 success, 2
-invalid configuration or input file (ConfigurationError), 1 anything else:
-a numerical failure or a bug.
+invalid configuration, an unreadable input or unwritable output file
+(ConfigurationError), 1 anything else: a numerical failure or a bug.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .pde import PdeConfig, solve_pde
 from .search import backend_grid, d_range, refine, scan
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from .strategy_eval import risk_curve
-from .strategy_io import atomic_write, load_strategy, save_strategy
+from .strategy_io import _read_json, atomic_write, load_strategy, save_strategy
 
 _FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
 
@@ -82,22 +82,13 @@ _GRID = (
 _OUT = Param("out", help="summary JSON path (default: stdout)")
 
 
-def _load_json(path: Path, what: str):
-    if not path.exists():
-        raise ConfigurationError(f"no such {what} file: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-
-
 def resolve(command: Command, args: argparse.Namespace) -> dict:
     """Each parameter from its flag, else the --config file, else its
     declared default; u_max and du become one UGrid under "grid"."""
     file_cfg = {}
     if args.config:
         path = Path(args.config)
-        file_cfg = _load_json(path, "config")
+        file_cfg = _read_json(path, "config")
         if not isinstance(file_cfg, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
         declared = {p.name: p for p in command.params}
@@ -138,7 +129,7 @@ def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
     """Prior from --d or --prior-file (atoms [[w, pi], ...], no other key)."""
     if cfg.get("prior_file"):
         path = Path(cfg["prior_file"])
-        doc = _load_json(path, "prior")
+        doc = _read_json(path, "prior")
         unknown = sorted(set(doc) - {"atoms"}) if isinstance(doc, dict) else []
         if unknown:
             raise ConfigurationError(f"{path}: unknown prior keys: {unknown}")

@@ -4,9 +4,9 @@ The minimax risk equals the Bayes risk under the least favorable prior, so
 the search scans the Bayes risk over the gap parameter d, refines the
 interior maximum by golden section (unimodality assumed, the scan guards
 against gross multimodality), and certifies the saddle point by evaluating
-the frozen optimal strategy against shifted priors, all in one forward
-sweep.  As the frozen loss is linear in the prior, a passed check also
-bounds the multi-atom priors on the checked gaps (see SaddleReport).
+the frozen optimal strategy at shifted gaps, all in one forward sweep.  As
+the frozen loss is linear in the prior, a passed check also bounds the
+multi-atom priors on the checked gaps (see SaddleReport).
 """
 
 from __future__ import annotations
@@ -200,13 +200,14 @@ class SaddleReport:
     stage contributes.
 
     passed also bounds the multi-atom priors.  The frozen strategy's loss
-    under a symmetric prior with atoms (w_i, pi_i) is sum_i pi_i L(w_i), L
-    the two-point loss of the rows (the loss profile and the forced stage's
-    mean_w are both linear in the atoms), and that prior's Bayes risk is at
-    most this loss.  So every symmetric prior whose atoms are among the gaps
-    within the cutoff has Bayes risk <= max_within_cutoff <= risk_star +
-    tolerance: [risk_star, max_within_cutoff] brackets the minimax risk over
-    those priors, whatever the shape of the Bayes curve between the rows.
+    under a symmetric prior with atoms (w_i, pi_i) is the linear combination
+    sum_i pi_i L0(w_i) + 2*eps*mean_w = sum_i pi_i L(w_i), L and L0 the rows'
+    loss and loss_no_initial (the loss profile is linear in the atoms), and
+    that prior's Bayes risk is at most it.  So every symmetric prior whose
+    atoms are among the gaps within the cutoff has Bayes risk <=
+    max_within_cutoff <= risk_star + tolerance: [risk_star,
+    max_within_cutoff] brackets the minimax risk over those priors, whatever
+    the shape of the Bayes curve between the rows.
     """
 
     d_star: float
@@ -236,7 +237,7 @@ def saddle_check(
     The tolerance and every prior are validated before the solve at d_star.
 
     The rows come from one forward sweep of the frozen table's state density
-    (strategy_eval.frozen_losses), which serves every prior at once.  The
+    (strategy_eval.frozen_losses), which serves every gap at once.  The
     d_star row is anchored to the backward sweep: it is evaluate's value,
     which reproduces the solver's own risk, and the forward value there must
     agree with it within ANCHOR_TOLERANCE, or the check raises InternalError.
@@ -258,18 +259,18 @@ def saddle_check(
     out = solve_invariant(DpConfig(epsilon, priors[star], g))
     frozen = EvalStrategy.from_table(out.strategy)
     risk_star = out.bayes_risk
-    losses = frozen_losses(frozen, priors)
+    loss, loss_no_initial = frozen_losses(frozen, ds)
     anchor = evaluate(frozen, priors[star])
-    drift = abs(losses[star].total_loss - anchor.total_loss)
+    drift = abs(loss[star] - anchor.total_loss)
     if not drift <= ANCHOR_TOLERANCE:
         raise InternalError(
-            f"forward sweep loss at d_star = {d_star} is {losses[star].total_loss}, "
+            f"forward sweep loss at d_star = {d_star} is {loss[star]}, "
             f"{drift:.3g} from the backward sweep's {anchor.total_loss}"
         )
-    losses[star] = anchor
+    loss[star], loss_no_initial[star] = anchor.total_loss, anchor.loss_no_initial
     rows = [
-        SaddleRow(d=d, loss=ev.total_loss, loss_no_initial=ev.loss_no_initial)
-        for d, ev in zip(ds, losses)
+        SaddleRow(d=d, loss=total, loss_no_initial=no_init)
+        for d, total, no_init in zip(ds, loss.tolist(), loss_no_initial.tolist())
     ]
     within = [r for r in rows if r.d <= SADDLE_CUTOFF + 1e-9]
     max_within = max(r.loss for r in within)

@@ -5,9 +5,9 @@ dp.gaussian_step), but instead of the argmin each slice plays the arm the
 strategy's table picks.  That is the same selection the argmin makes, so
 evaluating the solver's own table reproduces its Bayes risk bit for bit.
 
-frozen_losses evaluates one table under many priors with one forward sweep.
+frozen_losses evaluates one table at many gaps with one forward sweep.
 The transitions are prior-free: the kernels depend only on (eps, grid, K)
-and the played arm only on the table, so a prior enters only through its
+and the played arm only on the table, so a gap enters only through its
 one-step loss profile g, and the loss is linear in it.  Unrolling the
 backward recursion V_K = eps*g_played + T V_{K+1} against the adjoint T*
 gives, with rho_2 the N(0, eps/2) weights on row (1, 1) that the risk
@@ -16,21 +16,20 @@ assembly integrates against and rho_{K+1} = T* rho_K,
     <rho_2, V_2> = sum_K <rho_K, eps*g_played on diagonal K>,
 
 the density of the state reached on each diagonal weighed by the loss
-played there, for every prior alike.  The kernels are bitwise symmetric
+played there, for every gap alike.  The kernels are bitwise symmetric
 Gaussian weights, so the adjoint of a Dirichlet-0 convolution is the same
 convolution: the backward sweep's own core.convolve_zero_padded.
 
 The loss weighs each diagonal's played density, folded onto the rows
-j = k1 <= K/2, for all priors at once.  Each atom w of the priors adds
+j = k1 <= K/2, for all gaps at once.  Each gap w adds
 
     w * sum_j C[j] * (played[j] @ E),   E = exp(-2*u*w),   C[j] = exp(-2*tau_j*w^2),
 
 the profile's exponential factored into a part in u, built once per call,
 and a part in tau_j = t1*t2/t, built once per diagonal, so one matrix
-product of the played rows with every atom's E replaces a loss profile per
-prior.  A prior's loss is its atoms' sums weighted by their masses.  Where
-2*w*u_max exceeds core.EXP_CLIP the profile's clip can act and E could
-overflow, so those atoms keep the clipped profile, core.loss_profile.
+product of the played rows with every gap's E replaces a loss profile per
+gap.  Where 2*w*u_max exceeds core.EXP_CLIP the profile's clip can act and
+E could overflow, so those gaps keep the clipped profile, core.loss_profile.
 """
 
 from __future__ import annotations
@@ -87,29 +86,26 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 
 
-def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
-    """evaluate(strategy, prior) for every prior, from one forward sweep of
-    the state density; agrees with evaluate to rounding (about 1e-16).
+def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The table's loss under the two-point prior at each positive gap w,
+    from one forward sweep of the state density: two arrays, the loss with
+    the forced initial stage (2*eps*w) and without it.  Each entry agrees
+    with evaluate at that gap to rounding (about 1e-16).
 
     On diagonal K the density of row k1 splits by the table's arm: the arm-1
     part moves to row k1 + 1 of diagonal K + 1 through kernel K - k1, the
     arm-2 part stays on row k1 through kernel k1.  The played mass folds onto
     the rows k1 <= K/2 (g1 is equal on rows k1 and K - k1, and g2 is g1
-    mirrored in u), where every atom's loss weighs it at once (see the
-    module docstring).  At most two diagonals of density are alive at once.
+    mirrored in u), where every gap's loss weighs it at once (see the module
+    docstring).  At most two diagonals of density are alive at once.
     """
     eps, grid, P = strategy.epsilon, strategy.grid, strategy.n_packets
-    priors = list(priors)
     u = grid.points
-    # every distinct atom of every prior; mass[i, a] is prior i's weight on atom a
-    col = {w: a for a, w in enumerate(sorted({w for prior in priors for w, _ in prior.atoms}))}
-    mass = np.zeros((len(priors), len(col)))
-    for i, prior in enumerate(priors):
-        for w, p in prior.atoms:
-            mass[i, col[w]] = p
-    w = np.array(list(col), dtype=float)
+    w = np.array(gaps, dtype=float)
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise ConfigurationError("gaps must be positive and finite")
     # where 2*w*u_max exceeds EXP_CLIP the loss profile's clip can act, so
-    # those atoms keep it; the others factor exp(-2*u*w) out of every diagonal
+    # those gaps keep it; the others factor exp(-2*u*w) out of every diagonal
     clip = 2.0 * w * grid.u_max > EXP_CLIP
     w_exp = w[~clip]
     e_u = np.exp(np.multiply.outer(u, -2.0 * w_exp))
@@ -148,16 +144,13 @@ def frozen_losses(strategy: StrategyTable, priors) -> list[EvalResult]:
         factored_sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
         for a, unit in enumerate(unit_priors):
             clipped_sums[a] += np.vdot(played[:H], loss_profile(unit, u, t1, t2))
-    per_atom = np.empty(w.size)  # each atom's loss: w times its weighed exponentials
-    per_atom[~clip] = w_exp * factored_sums
-    per_atom[clip] = clipped_sums  # a unit atom's loss profile includes w
-    acc = eps * (mass @ per_atom)
-    if not np.isfinite(acc).all():
+    no_initial = np.empty(w.size)  # eps * w times each gap's weighed exponentials
+    no_initial[~clip] = w_exp * factored_sums
+    no_initial[clip] = clipped_sums  # a unit prior's loss profile includes w
+    no_initial *= eps
+    if not np.isfinite(no_initial).all():
         raise InternalError("non-finite loss in the forward sweep")
-    return [
-        EvalResult(total_loss=float(a + 2.0 * eps * p.mean_w), loss_no_initial=float(a))
-        for a, p in zip(acc, priors)
-    ]
+    return no_initial + 2.0 * eps * w, no_initial
 
 
 @dataclass(frozen=True)
@@ -182,8 +175,8 @@ def risk_curve(
     frozen at freeze_d, by default at the first local maximum of the Bayes
     column (the first d whose risk is not below the next one's, else the
     last d; the largest risk can sit at the far end, as the forced stage
-    costs 2*eps*d), and played against every prior through one
-    frozen_losses sweep.  Returns the frozen table and one row per d.
+    costs 2*eps*d), and played at every d through one frozen_losses
+    sweep.  Returns the frozen table and one row per d.
     Every prior, freeze_d's included, is validated before the first solve.
     """
     g = grid if grid is not None else UGrid()
@@ -199,15 +192,15 @@ def risk_curve(
         risks = [out.bayes_risk for out in bayes] + [-np.inf]
         frozen_at = priors[next(i for i in range(len(ds)) if risks[i] >= risks[i + 1])]
     table = solve_invariant(DpConfig(epsilon, frozen_at, g)).strategy
-    played = frozen_losses(EvalStrategy.from_table(table), priors)
+    loss, loss_no_init = frozen_losses(table, ds)
     rows = [
         RiskCurveRow(
             d=d,
             bayes_risk=out.bayes_risk,
-            expected_loss=ev.total_loss,
+            expected_loss=total,
             bayes_risk_no_init=out.bayes_risk_no_initial,
-            expected_loss_no_init=ev.loss_no_initial,
+            expected_loss_no_init=no_init,
         )
-        for d, out, ev in zip(ds, bayes, played)
+        for d, out, total, no_init in zip(ds, bayes, loss.tolist(), loss_no_init.tolist())
     ]
     return table, rows

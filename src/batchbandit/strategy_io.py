@@ -27,12 +27,25 @@ class StrategyFormatError(ConfigurationError):
     """Malformed strategy file or sidecar; the message names the file and the CSV line."""
 
 
+def _read_json(path: Path, what: str, error=ConfigurationError):
+    """The JSON document in the file at path, for every JSON input: the sidecar
+    and the CLI's --config and --prior-file.  A file that cannot be opened,
+    decoded or parsed raises error naming it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # JSON and decode errors are ValueErrors
+        raise error(f"{path}: unreadable {what} file: {type(exc).__name__}: {exc}") from None
+
+
 def atomic_write(path: Path, write_fn) -> None:
-    """write_fn(tmp) fills a temp file next to path, which then replaces path."""
+    """write_fn(tmp) fills a temp file next to path, which then replaces path;
+    a path that cannot be written is a ConfigurationError naming it."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         write_fn(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from None
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -83,32 +96,28 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
 
 
 def _load_meta(meta_path: Path) -> tuple[float, int, UGrid]:
-    """epsilon, n_packets and grid of a sidecar, each checked."""
-    if not meta_path.exists():
-        raise StrategyFormatError(f"missing metadata sidecar {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise StrategyFormatError(f"{meta_path}: invalid JSON: {exc}") from None
+    """epsilon, n_packets and grid of a sidecar, each checked by JSON type and value."""
+    meta = _read_json(meta_path, "metadata sidecar", StrategyFormatError)
     if not isinstance(meta, dict):
         raise StrategyFormatError(f"{meta_path}: the sidecar must be a JSON object")
     if (version := meta.get("format_version")) != STRATEGY_FORMAT_VERSION:
         raise StrategyFormatError(f"{meta_path}: format_version {version!r} is not supported")
-    for key in ("epsilon", "n_packets", "grid"):
-        if key not in meta:
-            raise StrategyFormatError(f"{meta_path}: missing key {key!r}")
+    spec = meta["grid"] if isinstance(meta.get("grid"), dict) else {}
+    values = {"n_points": 0, **spec, **{k: meta.get(k) for k in ("epsilon", "n_packets")}}
+    for key in ("epsilon", "n_packets", "u_max", "du", "n_points"):  # n_points is optional
+        integer, value = key.startswith("n_"), values.get(key)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise StrategyFormatError(f"{meta_path}: {key} must be {kind}, got {value!r}")
     try:
-        grid = UGrid(u_max=float(meta["grid"]["u_max"]), du=float(meta["grid"]["du"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StrategyFormatError(f"{meta_path}: bad grid spec: {exc}") from None
-    try:
-        eps, P = float(meta["epsilon"]), int(meta["n_packets"])
+        grid = UGrid(u_max=float(values["u_max"]), du=float(values["du"]))
+        eps, P = float(values["epsilon"]), values["n_packets"]
         n = packet_count(eps)
-    except (ConfigurationError, OverflowError, TypeError, ValueError) as exc:
+    except (ConfigurationError, OverflowError) as exc:
         raise StrategyFormatError(f"{meta_path}: {exc}") from None
     if n != P:
         raise StrategyFormatError(f"{meta_path}: epsilon {eps} does not describe {P} packets")
-    if (n_points := meta["grid"].get("n_points")) not in (None, grid.n_points):
+    if (n_points := spec.get("n_points", grid.n_points)) != grid.n_points:
         raise StrategyFormatError(f"{meta_path}: n_points {n_points}, grid has {grid.n_points}")
     return eps, P, grid
 
@@ -132,14 +141,18 @@ def load_strategy(path) -> StrategyTable:
     """Read a CSV table written by save_strategy: exactly the bytes the writer
     gives its decision states, each action 1 or 2, and nothing after them."""
     path = Path(path)
-    if not path.exists():
-        raise StrategyFormatError(f"no such strategy file: {path}")
-    eps, P, grid = _load_meta(path.with_suffix(".meta.json"))
-    n_u = grid.n_points
-    encode = _encoder(n_u)
-    layouts = {}  # prefix length -> block length and action offsets, read off the encoder
-    rows = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise StrategyFormatError(f"no such strategy file: {path}") from None
+    except OSError as exc:
+        raise StrategyFormatError(f"{path}: unreadable strategy file: {exc}") from None
+    with fh:
+        eps, P, grid = _load_meta(path.with_suffix(".meta.json"))
+        n_u = grid.n_points
+        encode = _encoder(n_u)
+        layouts = {}  # prefix length -> block length and action offsets, read off the encoder
+        rows = []
         if (head := fh.readline(len(_HEADER))) != _HEADER:
             raise StrategyFormatError(f"{path}: line 1: expected header {_HEADER!r}, got {head!r}")
         for k1, k2 in _states(P):  # lazily: a short file is refused where it ends

@@ -303,6 +303,57 @@ def test_simulate_non_finite_d_exits_2(tmp_path, capsys, model, d):
     assert "d must be finite" in capsys.readouterr().err
 
 
+def _bad_file(tmp_path, kind, content):
+    """argv with one unreadable input or unwritable output of the given kind,
+    the path its error must name, and the output path that must not appear."""
+    bad = table = tmp_path / "bad.json"
+    out = tmp_path / "out.json"
+    if kind in ("sidecar", "strategy"):
+        table = _export_tenth(tmp_path)
+        meta = table.with_suffix(".meta.json")
+        if kind == "sidecar":
+            bad = meta
+            meta.unlink()
+        else:
+            bad = table = tmp_path / "bad.csv"
+            (tmp_path / "bad.meta.json").write_bytes(meta.read_bytes())
+    if content == "directory":
+        bad.mkdir()
+    elif content == "0xff":
+        bad.write_bytes(b"\xff{}")
+    elif content == "deep":
+        bad.write_text("[" * 100_000)
+    else:  # an output in a directory that does not exist
+        bad = out = tmp_path / "missing" / "out"
+    simulate = ["simulate", "--t", "1000", "--m", "100", "--reps", "10", "--strategy", str(table)]
+    argv = {
+        "config": ["solve", "--config", str(bad)],
+        "prior": ["solve", "--epsilon", "0.1", "--prior-file", str(bad)],
+        "solve": ["solve", "--epsilon", "0.5", "--d", "1.0"],
+        "export": ["export-strategy", "--epsilon", "0.5", "--d", "1.0"],
+    }.get(kind, simulate)
+    return [*argv, "--out", str(out)], bad, out
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("config", "directory"), ("config", "0xff"), ("config", "deep"),
+        ("prior", "0xff"), ("prior", "deep"),
+        ("sidecar", "directory"), ("sidecar", "0xff"), ("strategy", "directory"),
+        ("solve", "missing-dir"), ("export", "missing-dir"),
+    ],
+)
+def test_unreadable_or_unwritable_file_exits_2_naming_it(tmp_path, capsys, kind, content):
+    argv, named, out = _bad_file(tmp_path, kind, content)
+    capsys.readouterr()  # drop what the setup printed
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0]
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_figure1_csv_shape_and_determinism(tmp_path):
     out = tmp_path / "fig.csv"
     argv = ["figure1", "--epsilon", "0.25", "--d-min", "0.5", "--d-max", "1.5",

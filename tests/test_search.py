@@ -17,7 +17,7 @@ from batchbandit.search import (
     saddle_check,
     scan,
 )
-from batchbandit.strategy_eval import EvalResult, EvalStrategy, evaluate, frozen_losses
+from batchbandit.strategy_eval import EvalStrategy, evaluate, frozen_losses
 
 EPS = 0.1
 GRID = UGrid(3.0, 0.02)
@@ -179,15 +179,17 @@ def test_saddle_rows_match_the_backward_sweep_and_anchor_d_star():
         ev = evaluate(frozen, SymmetricPrior.two_point(r.d))
         assert abs(r.loss - ev.total_loss) <= 1e-13
         assert abs(r.loss_no_initial - ev.loss_no_initial) <= 1e-13
+        # Python floats, so that reports and flags built on them serialize as JSON
+        assert type(r.loss) is float and type(r.loss_no_initial) is float
     # the d_star row is the backward sweep's, which reproduces the solver's risk
     assert report.rows[2].loss == report.risk_star
     assert report.equality_gap == 0.0
 
 
 def test_saddle_check_refuses_a_forward_sweep_that_drifts_from_the_anchor(monkeypatch):
-    def drifted(strategy, priors):
-        return [EvalResult(ev.total_loss + 1e-9, ev.loss_no_initial + 1e-9)
-                for ev in frozen_losses(strategy, priors)]
+    def drifted(strategy, gaps):
+        total, no_initial = frozen_losses(strategy, gaps)
+        return total + 1e-9, no_initial + 1e-9
 
     monkeypatch.setattr(search, "frozen_losses", drifted)
     with pytest.raises(InternalError, match="backward sweep"):
@@ -225,9 +227,9 @@ def test_saddle_certificate_bounds_multi_atom_priors(worst_gap):
         solve_invariant(DpConfig(0.02, SymmetricPrior.two_point(res.d_star))).strategy
     )
     two_atoms = SymmetricPrior(((1.0, 0.5), (2.2, 0.5)))
-    mixed, at_1, at_2 = frozen_losses(
-        frozen, [two_atoms, SymmetricPrior.two_point(1.0), SymmetricPrior.two_point(2.2)]
-    )
-    assert abs(mixed.total_loss - 0.5 * (at_1.total_loss + at_2.total_loss)) <= 1e-15
+    (at_1, at_2), (no_init_1, no_init_2) = frozen_losses(frozen, [1.0, 2.2])
+    mixed = 0.5 * (no_init_1 + no_init_2) + 2.0 * 0.02 * two_atoms.mean_w
+    assert abs(mixed - 0.5 * (at_1 + at_2)) <= 1e-15
+    assert abs(mixed - evaluate(frozen, two_atoms).total_loss) <= 1e-12
     bayes = solve_invariant(DpConfig(0.02, two_atoms), keep_strategy=False).bayes_risk
-    assert bayes <= mixed.total_loss <= res.risk_star
+    assert bayes <= mixed <= res.risk_star

@@ -177,24 +177,38 @@ def test_forward_sweep_matches_the_backward_sweep(eps, seed, priors):
         SymmetricPrior(tuple((w, m / sum(m for _, m in atoms)) for w, m in atoms))
         for atoms in priors
     ]
-    results = frozen_losses(table, priors)
-    assert len(results) == len(priors)
-    for prior, got in zip(priors, results):
+    gaps = sorted({w for prior in priors for w, _ in prior.atoms})
+    total, no_initial = frozen_losses(table, gaps)
+    assert total.shape == no_initial.shape == (len(gaps),)
+    assert total - no_initial == pytest.approx(2.0 * eps * np.array(gaps), abs=1e-15)
+    # a multi-atom prior's loss is the linear combination of its gaps' losses
+    for prior in priors:
         want = evaluate(table, prior)
-        # Python floats, so that results and flags built on them serialize as JSON
-        assert type(got.total_loss) is float and type(got.loss_no_initial) is float
-        assert abs(got.total_loss - want.total_loss) <= 1e-13
-        assert abs(got.loss_no_initial - want.loss_no_initial) <= 1e-13
-        initial = 2.0 * eps * prior.mean_w
-        assert got.total_loss - got.loss_no_initial == pytest.approx(initial, abs=1e-15)
+        got_total, got_no_initial = mixed_loss(prior, eps, gaps, no_initial)
+        assert abs(got_total - want.total_loss) <= 1e-13
+        assert abs(got_no_initial - want.loss_no_initial) <= 1e-13
+
+
+def mixed_loss(prior, eps, gaps, no_initial):
+    """sum_i pi_i L0(w_i) + 2*eps*mean_w and sum_i pi_i L0(w_i), L0 the
+    per-gap losses without the forced stage."""
+    at = dict(zip(gaps, no_initial.tolist()))
+    no_init = sum(p * at[w] for w, p in prior.atoms)
+    return no_init + 2.0 * eps * prior.mean_w, no_init
 
 
 def test_forward_sweep_of_the_steady_arm_loses_d():
     st1 = steady(1, 0.02, UGrid())
     ds = (0.5, 1.0, 2.0)
-    results = frozen_losses(st1, [SymmetricPrior.two_point(d) for d in ds])
-    for d, ev in zip(ds, results):
-        assert ev.total_loss == pytest.approx(d, abs=0.01)
+    total, _ = frozen_losses(st1, ds)
+    for d, loss in zip(ds, total):
+        assert loss == pytest.approx(d, abs=0.01)
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0, np.nan, np.inf])
+def test_forward_sweep_refuses_a_gap_that_is_not_positive_and_finite(gap):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        frozen_losses(steady(1, 0.5, UGrid(1.0, 0.5)), [1.0, gap])
 
 
 @pytest.mark.parametrize(
@@ -206,20 +220,28 @@ def test_forward_sweep_of_the_steady_arm_loses_d():
             for d in [*np.arange(0.4, 16.0 + 1e-9, 0.4), 18.0, 20.0, 1.63]
         ],
         [SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))],
-        # 2*w*u_max = 800 > EXP_CLIP: the loss profile's clip acts at t1 = 0
-        [SymmetricPrior.two_point(100.0), SymmetricPrior(((1.6, 0.5), (100.0, 0.5)))],
+        # 2*w*u_max = 800 and 960 > EXP_CLIP: the loss profile's clip acts at t1 = 0
+        [
+            SymmetricPrior.two_point(100.0),
+            SymmetricPrior.two_point(120.0),
+            SymmetricPrior(((1.6, 0.5), (100.0, 0.5))),
+        ],
     ],
     ids=["saddle-gaps", "multi-atom", "clipped"],
 )
 def test_factored_forward_sweep_matches_evaluate(priors):
-    grid = UGrid(4.0, 0.02)
+    eps, grid = 0.1, UGrid(4.0, 0.02)
     frozen = EvalStrategy.from_table(
-        solve_invariant(DpConfig(0.1, SymmetricPrior.two_point(1.6), grid)).strategy
+        solve_invariant(DpConfig(eps, SymmetricPrior.two_point(1.6), grid)).strategy
     )
-    for prior, got in zip(priors, frozen_losses(frozen, priors)):
+    gaps = sorted({w for prior in priors for w, _ in prior.atoms})
+    total, no_initial = frozen_losses(frozen, gaps)
+    assert total - no_initial == pytest.approx(2.0 * eps * np.array(gaps), abs=1e-15)
+    for prior in priors:
         want = evaluate(frozen, prior)
-        assert abs(got.total_loss - want.total_loss) <= 1e-12
-        assert abs(got.loss_no_initial - want.loss_no_initial) <= 1e-12
+        got_total, got_no_initial = mixed_loss(prior, eps, gaps, no_initial)
+        assert abs(got_total - want.total_loss) <= 1e-12
+        assert abs(got_no_initial - want.loss_no_initial) <= 1e-12
 
 
 def test_risk_curve_evaluates_a_frozen_strategy_in_one_forward_sweep(monkeypatch):

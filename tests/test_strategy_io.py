@@ -318,6 +318,44 @@ def test_malformed_sidecar_is_a_format_error_naming_it(solved, tmp_path, mutate)
         load_strategy(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_packets", 10.0),
+        ("n_packets", 4.9),
+        ("n_packets", True),
+        ("epsilon", "0.1"),
+        ("epsilon", True),
+        ("u_max", "2.0"),
+        ("du", None),
+        ("n_points", 81.0),
+        ("n_points", False),
+    ],
+)
+def test_sidecar_number_of_the_wrong_json_type_is_refused(solved, tmp_path, key, value):
+    # int() and float() would coerce each of these; the sidecar is checked
+    # as strictly as a --config file
+    path = _saved(solved, tmp_path)
+    meta_path = tmp_path / "s.meta.json"
+    meta = json.loads(meta_path.read_text())
+    (meta["grid"] if key in meta["grid"] else meta)[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(StrategyFormatError, match=rf"s\.meta\.json: {key} must be "):
+        load_strategy(path)
+
+
+def test_sidecar_takes_json_ints_for_its_float_numbers(solved, tmp_path):
+    path = _saved(solved, tmp_path)
+    meta_path = tmp_path / "s.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["grid"]["u_max"] = 2
+    del meta["grid"]["n_points"]  # optional
+    meta_path.write_text(json.dumps(meta))
+    loaded = load_strategy(path)
+    assert loaded.grid == GRID
+    assert np.array_equal(loaded.arm1, solved.strategy.arm1)
+
+
 def test_inconsistent_epsilon_and_packets(solved, tmp_path):
     path = _saved(solved, tmp_path)
     meta_path = tmp_path / "s.meta.json"
