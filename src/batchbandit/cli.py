@@ -134,7 +134,9 @@ def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
         if unknown:
             raise ConfigurationError(f"{path}: unknown prior keys: {unknown}")
         try:
-            atoms = tuple((float(w), float(p)) for w, p in doc["atoms"])
+            atoms = tuple((w, p) for w, p in doc["atoms"])
+            if not all(type(x) in (int, float) for atom in atoms for x in atom):  # no bool
+                raise TypeError("w and pi must be JSON numbers")
         except (KeyError, TypeError, ValueError):
             raise ConfigurationError(f"{path}: expected {{'atoms': [[w, pi], ...]}}") from None
         return SymmetricPrior(atoms), None

@@ -72,16 +72,25 @@ class DpConfig:
         return packet_count(self.epsilon)
 
 
+def _states(P: int):
+    """The decision states 2 <= k1 + k2 <= P - 1 in table order (by k1 + k2, then k1), lazily."""
+    return ((k1, K - k1) for K in range(2, P) for k1 in range(K + 1))
+
+
+def _first_row(K: int) -> int:
+    """The table row of state (0, K), after diagonals 2 .. K - 1; _first_row(P) counts them all."""
+    return K * (K + 1) // 2 - 3
+
+
 @dataclass(frozen=True, eq=False)
 class StrategyTable:
     """Deterministic strategy on the decision lattice 2 <= k1 + k2 <= n_packets - 1.
 
-    arm1[k1, k2, i] is True where arm 1 is played at grid point i of state
-    (k1, k2); entries off the lattice are unused.  The solver's table holds
-    its argmin, with value ties resolved to arm 1.  The two initial batches
-    are forced turn-by-turn (arm 1 first, then the unplayed arm) and are not
-    part of the table.  Construction checks the lattice shape and the bool
-    dtype; n_packets follows from epsilon.
+    arm1 is a (states, n_u) bool array, True where arm 1 is played: one row
+    per decision state in _states order (the CSV's), diagonal(K) viewing the
+    rows of diagonal K by k1.  The solver's table holds its argmin, value ties
+    resolved to arm 1.  The two initial batches are forced turn-by-turn (arm 1
+    first, then the unplayed arm) and are not part of the table.
     """
 
     epsilon: float
@@ -89,16 +98,19 @@ class StrategyTable:
     arm1: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        P = packet_count(self.epsilon)
-        want = (P + 1, P + 1, self.grid.n_points)
+        want = (_first_row(packet_count(self.epsilon)), self.grid.n_points)
         if not (isinstance(self.arm1, np.ndarray) and self.arm1.dtype == bool):
             raise ConfigurationError("arm1 must be a bool array")
         if self.arm1.shape != want:
-            raise ConfigurationError(f"arm1 has shape {self.arm1.shape}, the lattice needs {want}")
+            raise ConfigurationError(f"arm1 has shape {self.arm1.shape}, (states, n_u) is {want}")
 
     @property
     def n_packets(self) -> int:
         return packet_count(self.epsilon)
+
+    def diagonal(self, K: int) -> np.ndarray:
+        """The K + 1 rows of diagonal K, 2 <= K <= n_packets - 1, indexed by k1 (a view)."""
+        return self.arm1[_first_row(K) : _first_row(K + 1)]
 
 
 @dataclass
@@ -251,23 +263,22 @@ def solve_invariant(
     keeps only (1, 1).  keep_strategy=False drops the action table for
     memory-lean risk sweeps.
     """
-    P = config.n_packets
     grid, prior, eps = config.grid, config.prior, config.epsilon
+    strategy = None
     if keep_strategy:
-        _check_memory((P + 1) ** 2 * grid.n_points, "the action table")
-    arm1 = np.zeros((P + 1, P + 1, grid.n_points), dtype=bool) if keep_strategy else None
+        shape = (_first_row(config.n_packets), grid.n_points)
+        _check_memory(math.prod(shape), "the action table")
+        strategy = StrategyTable(epsilon=eps, grid=grid, arm1=np.zeros(shape, dtype=bool))
 
     def argmin(K, l1, l2):
         take1 = l1 <= l2  # value ties resolve to action 1
-        if arm1 is not None:
-            k1 = np.arange(K + 1)
-            arm1[k1, K - k1] = take1
+        if strategy is not None:
+            strategy.diagonal(K)[:] = take1
         return np.where(take1, l1, l2)
 
     slices, total, no_initial = backward_sweep(
         eps, grid, prior, gaussian_step(eps, grid, argmin), keep_values=keep_values
     )
-    strategy = StrategyTable(epsilon=eps, grid=grid, arm1=arm1) if keep_strategy else None
     return SolveOutput(
         slices=slices, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
     )

@@ -158,13 +158,12 @@ def golden_section_max(fn, a: float, b: float, tolerance: float):
     return best_x, best_y, evals
 
 
-def refine(curve: ScanCurve, tolerance: float = 0.01, *, risk_fn=None) -> RefineResult:
+def refine(curve: ScanCurve, tolerance: float = 0.01) -> RefineResult:
     """Golden-section refinement of the scan maximum.
 
     A maximum on the range boundary is flagged and returned unrefined.  The
     returned risk never falls below the scanned maximum because the scan's
-    best point stays among the candidates.  risk_fn overrides the curve's
-    backend evaluator (self-test hook).
+    best point stays among the candidates.
     """
     if not curve.points:
         raise ConfigurationError("cannot refine an empty curve")
@@ -174,7 +173,7 @@ def refine(curve: ScanCurve, tolerance: float = 0.01, *, risk_fn=None) -> Refine
     top = curve.points[i]
     if i == 0 or i == len(curve.points) - 1:
         return RefineResult(d_star=top.d, risk_star=top.risk, boundary=True, evaluations=0)
-    fn = risk_fn if risk_fn is not None else _risk_fn(curve.backend, curve.epsilon, curve.grid)
+    fn = _risk_fn(curve.backend, curve.epsilon, curve.grid)
     a, b = curve.points[i - 1].d, curve.points[i + 1].d
     x, y, evals = golden_section_max(fn, a, b, tolerance)
     if top.risk > y:

@@ -133,20 +133,18 @@ def _lockstep(
             v = np.full(n, float(orientation))
         X1 = np.zeros(n)
         X2 = np.zeros(n)
-        k1 = np.zeros(n, dtype=np.int64)
-        k2 = np.zeros(n, dtype=np.int64)
+        k1 = np.zeros(n, dtype=np.int64)  # batches on arm 1; step - k1 on arm 2
         total = np.zeros(n)
         for step in range(n_packets):
             if step < 2:  # turn-by-turn start: arm 1, then arm 2
                 on1 = np.full(n, step == 0)
             else:
-                u = (X1 * k2 - X2 * k1) / (step * root_n)
-                on1 = strategy.arm1[k1, k2, strategy.grid.nearest_index(u)]
+                u = (X1 * (step - k1) - X2 * k1) / (step * root_n)
+                on1 = strategy.diagonal(step)[k1, strategy.grid.nearest_index(u)]
             xi, reward = draw(rng, np.where(on1, v, -v))
             X1 += np.where(on1, xi, 0.0)
             X2 += np.where(on1, 0.0, xi)
             k1 += on1
-            k2 += ~on1
             total += reward
         losses[offset : offset + n] = loss(total)
         offset += n

@@ -63,7 +63,7 @@ class EvalStrategy(StrategyTable):
 
     @classmethod
     def from_table(cls, table: StrategyTable) -> "EvalStrategy":
-        """The solver's table, sharing its arm-1 lattice (no copy)."""
+        """The solver's table, sharing its arm-1 array (no copy)."""
         return cls(epsilon=table.epsilon, grid=table.grid, arm1=table.arm1)
 
 
@@ -79,8 +79,7 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
     eps, grid = strategy.epsilon, strategy.grid
 
     def play(K, l1, l2):
-        k1 = np.arange(K + 1)
-        return np.where(strategy.arm1[k1, K - k1], l1, l2)
+        return np.where(strategy.diagonal(K), l1, l2)
 
     _, total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, play))
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
@@ -122,8 +121,7 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     rho[1, idx] = weights
     sweep_kernels = _KERNELS.for_sweep(eps, grid)
     for K in range(2, P):
-        k1 = np.arange(K + 1)
-        arm1 = strategy.arm1[k1, K - k1]
+        arm1 = strategy.diagonal(K)
         on1, on2 = np.multiply(rho, arm1, out=buf[2, : K + 1]), rho
         np.putmask(on2, arm1, 0.0)  # the arm-2 part, in place
         if K + 1 < P:  # mass reaching the terminal diagonal adds nothing

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
-from .dp import StrategyTable
+from .dp import StrategyTable, _states
 
 STRATEGY_FORMAT_VERSION = 1
 _HEADER = b"k1,k2,u_index,action\n"
@@ -51,11 +51,6 @@ def atomic_write(path: Path, write_fn) -> None:
             tmp.unlink()
 
 
-def _states(P: int):
-    """The decision states 2 <= k1 + k2 <= P - 1 in table order (by k1 + k2, then k1), lazily."""
-    return ((k1, K - k1) for K in range(2, P) for k1 in range(K + 1))
-
-
 def _encoder(n_u: int):
     """encode(k1, k2, row): the bytes of state (k1, k2), one line
     `k1,k2,u_index,action` per grid index, row being the state's arm-1 mask."""
@@ -69,8 +64,8 @@ def _encoder(n_u: int):
 
 
 def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
-    """Write the CSV table and its .meta.json sidecar atomically; the sidecar
-    records the prior the table was solved under."""
+    """Write the CSV table and its .meta.json sidecar, which records the prior the
+    table was solved under, atomically; a sidecar that fails leaves no CSV."""
     path = Path(path)
     P, n_u = table.n_packets, table.grid.n_points
     meta = {
@@ -82,17 +77,17 @@ def save_strategy(table: StrategyTable, path, prior: SymmetricPrior) -> None:
         "tie_break": "prefer-action-1",
         "initial_stage": "turn-by-turn-arm-1-then-2",
     }
+    meta_text = json.dumps(meta, indent=2) + "\n"
     encode = _encoder(n_u)
 
     def write_rows(tmp: Path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER)
-            for k1, k2 in _states(P):
-                fh.write(encode(k1, k2, table.arm1[k1, k2]))
+            for (k1, k2), row in zip(_states(P), table.arm1):  # arm1's rows are in _states order
+                fh.write(encode(k1, k2, row))
+        atomic_write(path.with_suffix(".meta.json"), lambda t: t.write_text(meta_text))
 
     atomic_write(path, write_rows)
-    meta_text = json.dumps(meta, indent=2) + "\n"
-    atomic_write(path.with_suffix(".meta.json"), lambda tmp: tmp.write_text(meta_text))
 
 
 def _load_meta(meta_path: Path) -> tuple[float, int, UGrid]:
@@ -170,7 +165,4 @@ def load_strategy(path) -> StrategyTable:
                 f"{path}: line {2 + n_u * len(rows)}: the lattice needs no more rows, "
                 f"got {_text(extra)!r}"
             )
-    arm1 = np.zeros((P + 1, P + 1, n_u), dtype=bool)
-    for (k1, k2), row in zip(_states(P), rows):
-        arm1[k1, k2] = row
-    return StrategyTable(epsilon=eps, grid=grid, arm1=arm1)
+    return StrategyTable(epsilon=eps, grid=grid, arm1=np.array(rows, dtype=bool).reshape(-1, n_u))

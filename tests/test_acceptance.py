@@ -13,7 +13,7 @@ import pytest
 
 from batchbandit.cli import main
 from batchbandit.core import SymmetricPrior, UGrid, gaussian_kernel
-from batchbandit.dp import DpConfig, solve_invariant
+from batchbandit.dp import DpConfig, _states, solve_invariant
 from batchbandit.pde import PdeConfig, solve_pde
 from batchbandit.search import refine, saddle_check, scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
@@ -153,8 +153,7 @@ def test_c07_solver_matches_quadrature_oracle_everywhere():
 
 def test_c08_always_first_arm_loses_the_gap():
     grid = UGrid()
-    P = round(1.0 / EPS)
-    arm1 = np.full((P + 1, P + 1, grid.n_points), True)
+    arm1 = np.full((len(list(_states(round(1.0 / EPS)))), grid.n_points), True)
     always1 = EvalStrategy(epsilon=EPS, grid=grid, arm1=arm1)
     for d in (0.5, 1.0, 2.0):
         loss = evaluate(always1, SymmetricPrior.two_point(d)).total_loss

@@ -130,6 +130,19 @@ def test_prior_file_with_a_nan_weight_exits_2(tmp_path, capsys):
     assert "weights must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [[["1.6", True]], [[1.6, True]], [[True, 1.0]], [["1.6", 1.0]]],
+    ids=["string-and-bool", "bool-weight", "bool-gap", "string-gap"],
+)
+def test_prior_file_atom_that_is_not_a_json_number_exits_2(tmp_path, capsys, atoms):
+    pf = tmp_path / "prior.json"
+    pf.write_text(json.dumps({"atoms": atoms}))
+    assert main(["solve", "--epsilon", "0.5", "--prior-file", str(pf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(pf) in err[0]
+
+
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"epsilon": 0.5, "d": 2.0}))
@@ -162,7 +175,7 @@ def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, argv, doc):
 
 
 def test_solve_never_builds_the_action_table(monkeypatch, capsys):
-    # at eps = 0.001 the action table alone is about 800 MB
+    # at eps = 0.001 the action table alone is about 400 MB
     seen = []
 
     def spy(config, **kwargs):
@@ -323,6 +336,9 @@ def _bad_file(tmp_path, kind, content):
         bad.write_bytes(b"\xff{}")
     elif content == "deep":
         bad.write_text("[" * 100_000)
+    elif content == "sidecar-directory":  # export-strategy's sidecar cannot be written
+        bad = out.with_suffix(".meta.json")
+        bad.mkdir()
     else:  # an output in a directory that does not exist
         bad = out = tmp_path / "missing" / "out"
     simulate = ["simulate", "--t", "1000", "--m", "100", "--reps", "10", "--strategy", str(table)]
@@ -341,7 +357,7 @@ def _bad_file(tmp_path, kind, content):
         ("config", "directory"), ("config", "0xff"), ("config", "deep"),
         ("prior", "0xff"), ("prior", "deep"),
         ("sidecar", "directory"), ("sidecar", "0xff"), ("strategy", "directory"),
-        ("solve", "missing-dir"), ("export", "missing-dir"),
+        ("solve", "missing-dir"), ("export", "missing-dir"), ("export", "sidecar-directory"),
     ],
 )
 def test_unreadable_or_unwritable_file_exits_2_naming_it(tmp_path, capsys, kind, content):

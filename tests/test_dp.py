@@ -108,14 +108,14 @@ def test_tie_break_and_sign_convention():
     # value comparison at (1, 1, u=0) is an exact tie and must resolve to 1
     grid = UGrid(2.0, 0.05)
     out = solve_invariant(DpConfig(1.0 / 3.0, SymmetricPrior.two_point(1.2), grid))
-    st = out.strategy
+    st = out.strategy.diagonal(2)[1]  # state (1, 1)
     center = grid.n_half
-    assert st.arm1[1, 1, center]
+    assert st[center]
     # large positive u favors arm 1, large negative favors arm 2
-    assert st.arm1[1, 1, -1]
-    assert not st.arm1[1, 1, 0]
-    assert st.arm1[1, 1, grid.nearest_index(1.9)]
-    assert not st.arm1[1, 1, grid.nearest_index(-1.9)]
+    assert st[-1]
+    assert not st[0]
+    assert st[grid.nearest_index(1.9)]
+    assert not st[grid.nearest_index(-1.9)]
 
 
 def test_strategy_symmetry_modulo_exact_ties():
@@ -125,8 +125,8 @@ def test_strategy_symmetry_modulo_exact_ties():
     for (k1, k2) in out.slices:
         if not (2 <= k1 + k2 <= P - 1):
             continue
-        a = out.strategy.arm1[k1, k2]
-        b = out.strategy.arm1[k2, k1][::-1]
+        a = out.strategy.diagonal(k1 + k2)[k1]
+        b = out.strategy.diagonal(k1 + k2)[k2][::-1]
         disagree = a != ~b  # the mirrored state plays the other arm
         if np.any(disagree):
             # disagreements are only allowed at exact value ties
@@ -149,6 +149,28 @@ def test_config_validation():
     DpConfig(0.25, prior, UGrid(4.0, 1.29))
     with pytest.raises(ConfigurationError, match="cannot resolve any kernel"):
         DpConfig(0.25, prior, UGrid(4.0, 1.31))
+
+
+@pytest.mark.parametrize("eps, states", [(0.1, 52), (0.25, 7), (0.5, 0)])
+def test_diagonal_views_cover_the_table_once_in_state_order(eps, states):
+    grid = UGrid(2.0, 0.5)
+    table = dp.StrategyTable(eps, grid, np.zeros((states, grid.n_points), dtype=bool))
+    P, base, row_bytes = table.n_packets, table.arm1.ctypes.data, table.arm1.strides[0]
+    rows, order = [], []
+    for K in range(2, P):
+        view = table.diagonal(K)
+        assert view.shape == (K + 1, grid.n_points) and view.base is table.arm1
+        rows += [(view[k1].ctypes.data - base) // row_bytes for k1 in range(K + 1)]
+        order += [(k1, K - k1) for k1 in range(K + 1)]
+    assert rows == list(range(states))
+    assert order == list(dp._states(P))
+
+
+def test_action_table_memory_check_asks_for_the_bytes_it_builds(monkeypatch):
+    asked = {}
+    monkeypatch.setattr(dp, "_check_memory", lambda need, what: asked.setdefault(what, need))
+    out = solve_invariant(DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(2.0, 0.05)))
+    assert asked["the action table"] == out.strategy.arm1.nbytes == 52 * 81
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,12 @@ def test_golden_section_stops_at_the_brackets_float_resolution():
     assert x == pytest.approx(0.7, abs=1e-12)
 
 
-def test_refine_recovers_injected_concave_maximum():
+def test_refine_recovers_injected_concave_maximum(monkeypatch):
     f = lambda d: 1.0 - (d - 1.37) ** 2
+    monkeypatch.setattr(search, "_risk_fn", lambda backend, epsilon, grid: f)
     points = tuple(ScanPoint(d=d, risk=f(d)) for d in np.arange(0.5, 2.51, 0.25))
     curve = ScanCurve(backend="dp", epsilon=EPS, grid=GRID, points=points)
-    res = refine(curve, tolerance=1e-4, risk_fn=f)
+    res = refine(curve, tolerance=1e-4)
     assert not res.boundary
     assert res.d_star == pytest.approx(1.37, abs=1e-3)
     assert res.risk_star >= max(p.risk for p in points)

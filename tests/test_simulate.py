@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
-from batchbandit.dp import DpConfig, StrategyTable, solve_invariant
+from batchbandit.dp import DpConfig, StrategyTable, _states, solve_invariant
 from batchbandit.simulate import (
     BatchTrialConfig,
     simulate_bernoulli,
@@ -27,7 +27,7 @@ def expected_loss_16(table50):
 
 
 def ones_table(n_packets: int, grid: UGrid) -> StrategyTable:
-    arm1 = np.ones((n_packets + 1, n_packets + 1, grid.n_points), dtype=bool)
+    arm1 = np.ones((len(list(_states(n_packets))), grid.n_points), dtype=bool)
     return StrategyTable(epsilon=1.0 / n_packets, grid=grid, arm1=arm1)
 
 

@@ -7,21 +7,21 @@ from hypothesis import strategies as st
 
 from batchbandit import strategy_eval
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid, packet_count
-from batchbandit.dp import DpConfig, StrategyTable, solve_invariant
+from batchbandit.dp import DpConfig, StrategyTable, _states, solve_invariant
 from batchbandit.strategy_eval import EvalStrategy, evaluate, frozen_losses, risk_curve
 
 
 def sign_rule(epsilon: float, grid: UGrid) -> EvalStrategy:
     """Play the arm the statistic currently favors: arm 1 where u >= 0."""
-    P = packet_count(epsilon)
-    arm1 = np.broadcast_to(grid.points >= 0.0, (P + 1, P + 1, grid.n_points))
+    states = len(list(_states(packet_count(epsilon))))
+    arm1 = np.broadcast_to(grid.points >= 0.0, (states, grid.n_points))
     return EvalStrategy(epsilon=epsilon, grid=grid, arm1=arm1)
 
 
 def steady(arm: int, epsilon: float, grid: UGrid) -> EvalStrategy:
     """Play the same arm (1 or 2) in every state."""
-    P = packet_count(epsilon)
-    arm1 = np.full((P + 1, P + 1, grid.n_points), arm == 1)
+    states = len(list(_states(packet_count(epsilon))))
+    arm1 = np.full((states, grid.n_points), arm == 1)
     return EvalStrategy(epsilon=epsilon, grid=grid, arm1=arm1)
 
 
@@ -116,17 +116,21 @@ def test_risk_curve_freezes_at_the_first_local_maximum_by_default():
 
 def test_strategy_lattice_must_be_a_bool_array_of_the_lattice_shape():
     grid = UGrid(2.0, 0.05)
-    shape = (5, 5, grid.n_points)  # epsilon = 0.25
-    bad = [
-        np.ones((4, 5, grid.n_points), dtype=bool),
-        np.ones(shape, dtype=np.int8),
-        np.ones(shape),
-        [[[True] * grid.n_points] * 5] * 5,
+    shape = (7, grid.n_points)  # epsilon = 0.25: the 3 + 4 states of diagonals 2 and 3
+    misshapen = [
+        np.ones((8, grid.n_points), dtype=bool),
+        np.ones((7, grid.n_points + 1), dtype=bool),
+        np.ones((5, 5, grid.n_points), dtype=bool),  # the (P + 1, P + 1, n_u) block
+        np.ones(7 * grid.n_points, dtype=bool),
     ]
-    for arm1 in bad:
+    mistyped = [np.ones(shape, dtype=np.int8), np.ones(shape), [[True] * grid.n_points] * 7]
+    for arm1, match in [(a, r"\(states, n_u\) is \(7, 81\)") for a in misshapen] + [
+        (a, "arm1 must be a bool array") for a in mistyped
+    ]:
         for cls in (StrategyTable, EvalStrategy):
-            with pytest.raises(ConfigurationError, match="arm1"):
+            with pytest.raises(ConfigurationError, match=match):
                 cls(epsilon=0.25, grid=grid, arm1=arm1)
+    assert StrategyTable(epsilon=0.25, grid=grid, arm1=np.ones(shape, dtype=bool)).n_packets == 4
 
 
 def test_from_table_shares_the_solver_lattice():
@@ -170,8 +174,8 @@ def test_flipping_a_fraction_of_decisions_costs_extra():
 )
 def test_forward_sweep_matches_the_backward_sweep(eps, seed, priors):
     grid = UGrid(2.0, 0.1)
-    P = packet_count(eps)
-    arm1 = np.random.default_rng(seed).random((P + 1, P + 1, grid.n_points)) < 0.5
+    states = len(list(_states(packet_count(eps))))
+    arm1 = np.random.default_rng(seed).random((states, grid.n_points)) < 0.5
     table = EvalStrategy(epsilon=eps, grid=grid, arm1=arm1)
     priors = [
         SymmetricPrior(tuple((w, m / sum(m for _, m in atoms)) for w, m in atoms))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchbandit.core import SymmetricPrior, UGrid
-from batchbandit.dp import DpConfig, StrategyTable, solve_invariant
+from batchbandit.dp import DpConfig, StrategyTable, _states, solve_invariant
 from batchbandit.strategy_io import (
     STRATEGY_FORMAT_VERSION,
     StrategyFormatError,
@@ -54,7 +54,7 @@ def test_meta_records_the_run(solved, tmp_path):
 
 
 def test_no_decision_states_round_trips(tmp_path):
-    table = StrategyTable(epsilon=0.5, grid=GRID, arm1=np.zeros((3, 3, GRID.n_points), dtype=bool))
+    table = StrategyTable(epsilon=0.5, grid=GRID, arm1=np.zeros((0, GRID.n_points), dtype=bool))
     path = tmp_path / "tiny.csv"
     save_strategy(table, path, SymmetricPrior.two_point(1.0))
     loaded = load_strategy(path)
@@ -72,15 +72,15 @@ V1_SHA256 = {
 
 def test_saved_bytes_are_format_v1(solved, tmp_path):
     P, n_u = solved.strategy.n_packets, GRID.n_points
-    k_sum = np.add.outer(np.arange(P + 1), np.arange(P + 1))
-    decision = ((k_sum >= 2) & (k_sum <= P - 1))[:, :, None]
-    arm1 = (np.random.default_rng(7).random((P + 1, P + 1, n_u)) < 0.5) & decision
-    assert all(0 < arm1[k1, K - k1].sum() < n_u for K in range(2, P) for k1 in range(K + 1))
+    # the draws of the (P + 1, P + 1, n_u) block the pinned bytes were made from
+    block = np.random.default_rng(7).random((P + 1, P + 1, n_u)) < 0.5
+    arm1 = np.array([block[k1, k2] for k1, k2 in _states(P)])
+    assert all(0 < row.sum() < n_u for row in arm1)
     tables = {
         "solved": solved.strategy,
         "random": StrategyTable(epsilon=EPS, grid=GRID, arm1=arm1),
         "no-decision-states": StrategyTable(
-            epsilon=0.5, grid=GRID, arm1=np.zeros((3, 3, n_u), dtype=bool)
+            epsilon=0.5, grid=GRID, arm1=np.zeros((0, n_u), dtype=bool)
         ),
     }
     for name, table in tables.items():
@@ -211,10 +211,8 @@ def test_text_the_writer_never_gives_is_refused_at_its_line(solved, tmp_path, ed
 )
 def test_a_one_byte_edit_loads_only_as_a_flipped_action(tmp_path_factory, eps, grid, seed,
                                                          kind, where, byte):
-    P, n_u = round(1 / eps), grid.n_points
-    k_sum = np.add.outer(np.arange(P + 1), np.arange(P + 1))
-    decision = ((k_sum >= 2) & (k_sum <= P - 1))[:, :, None]
-    arm1 = (np.random.default_rng(seed).random((P + 1, P + 1, n_u)) < 0.5) & decision
+    states = len(list(_states(round(1 / eps))))
+    arm1 = np.random.default_rng(seed).random((states, grid.n_points)) < 0.5
     table = StrategyTable(epsilon=eps, grid=grid, arm1=arm1)
     path = tmp_path_factory.mktemp("edit") / "s.csv"
     save_strategy(table, path, SymmetricPrior.two_point(1.0))
@@ -228,7 +226,7 @@ def test_a_one_byte_edit_loads_only_as_a_flipped_action(tmp_path_factory, eps, g
     if kind == "replace" and i >= header and data[i + 1 : i + 2] == b"\n" and byte in b"12":
         # an action byte set to 1 or 2 (perhaps its own value) is the flipped table
         k1, k2, iu, _ = map(int, data[data.rfind(b"\n", 0, i) + 1 : i + 1].split(b","))
-        arm1[k1, k2, iu] = byte == ord("1")
+        table.diagonal(k1 + k2)[k1, iu] = byte == ord("1")  # a view of arm1
         assert np.array_equal(load_strategy(path).arm1, arm1)
     elif edited == data:
         assert np.array_equal(load_strategy(path).arm1, arm1)
@@ -241,7 +239,7 @@ def test_a_one_byte_edit_loads_only_as_a_flipped_action(tmp_path_factory, eps, g
 
 def test_load_peaks_near_the_parsed_rows(tmp_path):
     # the headline table (eps 0.02, default grid, 1,018,872 rows): the loader
-    # holds one state's block at a time, a bool mask per state and the lattice
+    # holds one state's block at a time, a bool mask per state and the table they stack into
     table = solve_invariant(DpConfig(0.02, SymmetricPrior.two_point(1.6))).strategy
     path = tmp_path / "s.csv"
     save_strategy(table, path, SymmetricPrior.two_point(1.6))
