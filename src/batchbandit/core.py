@@ -33,24 +33,38 @@ class InternalError(RuntimeError):
     """Numerical corruption on valid input, e.g. NaN (CLI exit code 1)."""
 
 
+def as_float(value, what: str) -> float:
+    """float(value), where an integer beyond float range (a JSON input can
+    hold one) is a ConfigurationError rather than an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what} is beyond float range") from None
+
+
 @dataclass(frozen=True)
 class SymmetricPrior:
     """Symmetric discrete prior on the scaled half-gap.
 
     atoms: tuple of (w_i, pi_i) with w_i > 0 distinct and sum(pi_i) = 1,
-    meaning mass pi_i/2 at +w_i and pi_i/2 at -w_i.
+    meaning mass pi_i/2 at +w_i and pi_i/2 at -w_i.  2*w_i^2, the one-step
+    loss's decay rate in tau, must be finite: past it the loss is NaN.
     """
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(w), float(p)) for w, p in self.atoms)
+        atoms = tuple(
+            (as_float(w, "atom position"), as_float(p, "atom weight")) for w, p in self.atoms
+        )
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ConfigurationError("prior needs at least one atom")
         ws = [w for w, _ in atoms]
         if any(not math.isfinite(w) or w <= 0.0 for w in ws):
             raise ConfigurationError("atom positions must be positive and finite")
+        if any(not math.isfinite(2.0 * w * w) for w in ws):
+            raise ConfigurationError(f"atom position {max(ws):.6g} is too large: 2*w^2 overflows")
         if len(set(ws)) != len(ws):
             raise ConfigurationError("atom positions must be distinct")
         if not all(0.0 < p < math.inf for _, p in atoms):  # NaN fails too
@@ -62,7 +76,7 @@ class SymmetricPrior:
     @classmethod
     def two_point(cls, d: float) -> "SymmetricPrior":
         """Prior concentrated at +-d with equal mass."""
-        return cls(((float(d), 1.0),))
+        return cls(((d, 1.0),))
 
     @property
     def mean_w(self) -> float:
@@ -83,9 +97,10 @@ class UGrid:
     du: float = 0.01
 
     def __post_init__(self):
-        if not (self.du > 0.0 and math.isfinite(self.du)):
+        du, u_max = as_float(self.du, "du"), as_float(self.u_max, "u_max")
+        if not (du > 0.0 and math.isfinite(du)):
             raise ConfigurationError("du must be positive and finite")
-        if not (self.u_max > 0.0 and math.isfinite(self.u_max)):
+        if not (u_max > 0.0 and math.isfinite(u_max)):
             raise ConfigurationError("u_max must be positive and finite")
         if not math.isfinite(self.u_max / self.du):
             raise ConfigurationError(f"u_max / du overflows: {self.u_max} / {self.du}")

@@ -115,14 +115,8 @@ class StrategyTable:
 
 @dataclass
 class SolveOutput:
-    """Result of solve_invariant.
+    """Result of solve_invariant; strategy is None with keep_strategy=False."""
 
-    slices maps (k1, k2) to the value row over the u-grid: every diagonal
-    from 2 to n_packets with keep_values, otherwise only (1, 1), which is
-    all the risk assembly needs.  strategy is None with keep_strategy=False.
-    """
-
-    slices: dict[tuple[int, int], np.ndarray]
     strategy: StrategyTable | None
     bayes_risk: float
     bayes_risk_no_initial: float
@@ -134,55 +128,39 @@ def _check_memory(need: int, what: str) -> None:
         raise ConfigurationError(f"{what} needs about {need:.3g} bytes, over physical memory")
 
 
-def backward_sweep(
-    epsilon: float,
-    grid: UGrid,
-    prior: SymmetricPrior,
-    step,
-    *,
-    keep_values: bool = False,
-) -> tuple[dict[tuple[int, int], np.ndarray], float, float]:
+def backward_sweep(epsilon: float, grid: UGrid, prior: SymmetricPrior, step) -> tuple[float, float]:
     """Walk the anti-diagonals K = n_packets - 1 .. 2, n_packets = 1/epsilon,
-    back from the zero terminal diagonal; returns (slices, total risk, risk
-    without the initial stage).
+    back from the zero terminal diagonal; returns (total risk, risk without
+    the initial stage).
 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
     half = eps*g1 covers the rows k1 <= K/2 only: g1 depends on (t1, t2) only
     through tau = t1*t2/t, bitwise the same on rows k1 and K - k1, and g2 is
     g1 mirrored in u.  step(K, succ, half) may overwrite half; it returns the
-    K + 1 rows of diagonal K, or fewer when rows k1 > K/2 mirror rows K - k1.
-    slices holds every diagonal with keep_values (a mirror as a reversed
-    view), otherwise only (1, 1).  A grid whose sweep buffers (about four
-    (n_packets + 1) x n_u float blocks) exceed physical memory is refused first.
+    rows of diagonal K that the next step reads, the first ones by k1 (a row
+    k1 left out is row K - k1 mirrored in u).  A grid whose sweep buffers
+    (about four (n_packets + 1) x n_u float blocks) exceed physical memory is
+    refused first.
     """
     n_packets = packet_count(epsilon)
     _check_memory(4 * (n_packets + 1) * grid.n_points * 8, "the sweep")
     u = grid.points
     succ = np.zeros((n_packets + 1, u.size))
-    slices: dict[tuple[int, int], np.ndarray] = {}
-    if keep_values:
-        slices.update(((k1, n_packets - k1), succ[k1]) for k1 in range(n_packets + 1))
     for K in range(n_packets - 1, 1, -1):
         j = np.arange(K // 2 + 1)
         half = loss_profile(prior, u, j * epsilon, (K - j) * epsilon)
         half *= epsilon
-        cur = step(K, succ, half)
-        if np.isnan(cur).any():
+        succ = step(K, succ, half)
+        if np.isnan(succ).any():
             raise InternalError(f"NaN in value slice at diagonal {K}")
-        if keep_values:
-            own = K + 1 if len(cur) == K + 1 else K // 2 + 1  # the rows not mirrored
-            for i in range(K + 1):
-                slices[(i, K - i)] = cur[i] if i < own else cur[K - i, ::-1]
-        succ = cur
     # after the loop succ is diagonal 2 (or the terminal one when P == 2);
     # its row 1 is the (eps, eps) slice the risk assembly needs
-    slices.setdefault((1, 1), succ[1])
     idx, weights = centered_gaussian_weights(grid, 0.5 * epsilon)
     no_initial = float(np.dot(weights, succ[1][idx]))
     total = no_initial + 2.0 * epsilon * prior.mean_w
     if not (math.isfinite(total) and total >= 0.0):
         raise InternalError(f"assembled risk is not a nonnegative number: {total}")
-    return slices, total, no_initial
+    return total, no_initial
 
 
 def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
@@ -253,14 +231,9 @@ def gaussian_step(epsilon: float, grid: UGrid, combine):
     return step
 
 
-def solve_invariant(
-    config: DpConfig, *, keep_values: bool = False, keep_strategy: bool = True
-) -> SolveOutput:
-    """Backward sweep over all anti-diagonals; returns the value slices, the
-    strategy and the assembled Bayes risk.
-
-    keep_values retains every slice (table-level diagnostics); the default
-    keeps only (1, 1).  keep_strategy=False drops the action table for
+def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOutput:
+    """Backward sweep over all anti-diagonals; returns the strategy and the
+    assembled Bayes risk.  keep_strategy=False drops the action table for
     memory-lean risk sweeps.
     """
     grid, prior, eps = config.grid, config.prior, config.epsilon
@@ -276,9 +249,5 @@ def solve_invariant(
             strategy.diagonal(K)[:] = take1
         return np.where(take1, l1, l2)
 
-    slices, total, no_initial = backward_sweep(
-        eps, grid, prior, gaussian_step(eps, grid, argmin), keep_values=keep_values
-    )
-    return SolveOutput(
-        slices=slices, strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial
-    )
+    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, argmin))
+    return SolveOutput(strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial)

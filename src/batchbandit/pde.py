@@ -62,21 +62,14 @@ class PdeConfig:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Limit risk with and without the initial stage; slices as in
-    dp.SolveOutput."""
+    """Limit risk with and without the initial stage."""
 
     limit_risk: float
     limit_risk_no_initial: float
-    slices: dict[tuple[int, int], np.ndarray]
 
 
-def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
-    """March the explicit scheme backward and assemble the limit risk.
-
-    keep_values retains every diagonal slice; at small eps that is a large
-    table (about n_packets^2 / 4 rows, the rest being reversed views), so
-    keep it for coarse lattices only.
-    """
+def solve_pde(config: PdeConfig) -> PdeSolution:
+    """March the explicit scheme backward and assemble the limit risk."""
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
 
@@ -101,5 +94,5 @@ def solve_pde(config: PdeConfig, *, keep_values: bool = False) -> PdeSolution:
             cur[H] = cur[K - H, ::-1]
         return cur
 
-    slices, total, no_initial = backward_sweep(eps, grid, prior, step, keep_values=keep_values)
-    return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial, slices=slices)
+    total, no_initial = backward_sweep(eps, grid, prior, step)
+    return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, InternalError, SymmetricPrior, UGrid
+from .core import ConfigurationError, InternalError, SymmetricPrior, UGrid, as_float
 from .dp import DpConfig, solve_invariant
 from .pde import DEFAULT_GRID, PdeConfig, solve_pde
 from .strategy_eval import EvalStrategy, evaluate, frozen_losses
@@ -81,6 +81,8 @@ def d_range(d_min: float, d_max: float, step: float) -> list[float]:
     step does not reach it exactly.  A step of at most half an ulp of the top
     gap would leave some gap unchanged and the range unending: it is refused,
     as is a range of more than MAX_GAPS gaps, before any is built."""
+    d_min, d_max = as_float(d_min, "d_min"), as_float(d_max, "d_max")
+    step = as_float(step, "step")
     if not (0.0 < d_min <= d_max):
         raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
     top = d_max + 1e-12

@@ -23,20 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, InternalError
-from .dp import StrategyTable
+from .core import ConfigurationError, InternalError, as_float
+from .dp import StrategyTable, _check_memory
 
 # replications per lockstep batch; fixed so a seed pins every draw
 BATCH_REPS = 4096
 
 
-def _check_trial(n_packets: int, d: float, replications: int, orientation) -> None:
+def _check_trial(n_packets: int, d: float, replications: int, seed: int, orientation) -> None:
     if n_packets < 2:
         raise ConfigurationError("need at least two packets")
+    d = as_float(d, "d")
     if not (math.isfinite(d) and d >= 0.0):
         raise ConfigurationError(f"d must be finite and nonnegative, got {d}")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     if orientation not in (None, 1, -1):
         raise ConfigurationError("orientation must be None, +1 or -1")
 
@@ -66,7 +69,8 @@ class BatchTrialConfig:
                 f"n_items={self.n_items} must be a positive multiple of "
                 f"batch_size={self.batch_size}"
             )
-        _check_trial(self.n_packets, self.d, self.replications, self.orientation)
+        _check_trial(self.n_packets, self.d, self.replications, self.seed, self.orientation)
+        as_float(self.n_items, "n_items")  # delta divides by it as a float
         if not (0.0 < self.p < 1.0):
             raise ConfigurationError(f"p must lie in (0, 1), got {self.p}")
         for q in (self.p + self.delta, self.p - self.delta):
@@ -122,6 +126,7 @@ def _lockstep(
             f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
         )
     root_n = math.sqrt(n_packets)
+    _check_memory(8.0 * as_float(replications, "replications"), "the replication losses")
     losses = np.empty(replications)
     offset = 0
     sizes = _batch_sizes(replications)
@@ -184,7 +189,7 @@ def simulate_gaussian(
 ) -> TrialResult:
     """Direct Gaussian bandit: unit-variance packet incomes with means
     +-d/sqrt(n_packets), same normalization and lockstep driver."""
-    _check_trial(n_packets, d, replications, orientation)
+    _check_trial(n_packets, d, replications, seed, orientation)
     root_n = math.sqrt(n_packets)
     m_gap_half = d / root_n
 

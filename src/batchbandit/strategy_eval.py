@@ -81,7 +81,7 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
     def play(K, l1, l2):
         return np.where(strategy.diagonal(K), l1, l2)
 
-    _, total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, play))
+    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, play))
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 
 
@@ -101,8 +101,9 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     eps, grid, P = strategy.epsilon, strategy.grid, strategy.n_packets
     u = grid.points
     w = np.array(gaps, dtype=float)
-    if not (np.isfinite(w) & (w > 0.0)).all():
-        raise ConfigurationError("gaps must be positive and finite")
+    with np.errstate(over="ignore"):  # SymmetricPrior's rule: 2*w^2 finite
+        if not (np.isfinite(2.0 * w * w) & (w > 0.0)).all():
+            raise ConfigurationError("gaps must be positive and finite, with 2*w^2 finite")
     # where 2*w*u_max exceeds EXP_CLIP the loss profile's clip can act, so
     # those gaps keep it; the others factor exp(-2*u*w) out of every diagonal
     clip = 2.0 * w * grid.u_max > EXP_CLIP

@@ -6,13 +6,17 @@ documented Dirichlet-0 truncation at +-u_max (reads outside the grid are
 zero), but integrates successors by a dense trapezoid rule over +-8 sigma
 instead of discrete kernel weights.  Practical for horizons of up to
 4 batches (one quadrature level).
+
+swept_rows reads the value rows a solver computes, for the tests that
+compare them against this oracle or against each other.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from batchbandit.core import UGrid
+from batchbandit.core import UGrid, packet_count
 
 
 def oracle_g(atoms, ell, u, t1, t2):
@@ -56,3 +60,44 @@ def oracle_value(atoms, eps, u_max, n_packets, k1, k2, u):
 # the default grid keeps the solver's kink and truncation errors well under
 # the 1e-4 gate (coarser grids inflate the O(du^2) kink error at u = 0)
 ORACLE_GRID = UGrid(4.0, 0.01)
+
+
+def swept_rows(solve, config):
+    """Run solve(config), solve_invariant or solve_pde, recording the value
+    rows its backward sweep computes; returns (out, rows), rows mapping
+    (k1, k2) to the row over the u-grid for every diagonal 2 .. n_packets.
+
+    For this one call the solver module's backward_sweep is wrapped so that
+    each row its step returns is kept as the step made it; a row k1 the step
+    leaves out is row K - k1 reversed, the arm-swap mirror the sweep's step
+    contract states.  The terminal diagonal is the one the first step reads;
+    with two packets no step runs and the rows are the zero terminal
+    diagonal the sweep starts from.
+    """
+    module = sys.modules[solve.__module__]
+    sweep = module.backward_sweep
+    P = packet_count(config.epsilon)
+    rows = {}
+
+    def record(K, cur):
+        for k1 in range(K + 1):
+            rows[(k1, K - k1)] = cur[k1] if k1 < len(cur) else cur[K - k1, ::-1]
+
+    def recording_sweep(epsilon, grid, prior, step):
+        def recording_step(K, succ, half):
+            if K == P - 1:
+                record(P, succ)
+            cur = step(K, succ, half)
+            record(K, cur)
+            return cur
+
+        return sweep(epsilon, grid, prior, recording_step)
+
+    module.backward_sweep = recording_sweep
+    try:
+        out = solve(config)
+    finally:
+        module.backward_sweep = sweep
+    if P == 2:
+        record(2, np.zeros((3, config.grid.n_points)))
+    return out, rows

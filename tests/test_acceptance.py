@@ -19,7 +19,7 @@ from batchbandit.search import refine, saddle_check, scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from batchbandit.strategy_eval import EvalStrategy, evaluate
 
-from dp_oracle import ORACLE_GRID, oracle_value
+from dp_oracle import ORACLE_GRID, oracle_value, swept_rows
 
 EPS = 0.02  # headline batch fraction: 50 packets
 
@@ -139,10 +139,10 @@ def test_c07_solver_matches_quadrature_oracle_everywhere():
     for n_packets in (2, 3, 4):
         eps = 1.0 / n_packets
         for atoms in (((1.1, 1.0),), ((0.7, 0.4), (1.8, 0.6))):
-            out = solve_invariant(
-                DpConfig(eps, SymmetricPrior(atoms), ORACLE_GRID), keep_values=True
+            _, rows = swept_rows(
+                solve_invariant, DpConfig(eps, SymmetricPrior(atoms), ORACLE_GRID)
             )
-            for (k1, k2), row in out.slices.items():
+            for (k1, k2), row in rows.items():
                 want = oracle_value(
                     atoms, eps, ORACLE_GRID.u_max, n_packets, k1, k2, ORACLE_GRID.points
                 )
@@ -188,27 +188,27 @@ def test_c10_structural_property_suite(frozen_minimax):
 
     # arm-swap symmetry, nonnegativity and terminal zeros of the dp surface
     cfg = DpConfig(0.125, prior, UGrid(2.0, 0.05))
-    out = solve_invariant(cfg, keep_values=True)
-    for (k1, k2), row in out.slices.items():
+    _, rows = swept_rows(solve_invariant, cfg)
+    for (k1, k2), row in rows.items():
         np.testing.assert_allclose(
-            row, out.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
+            row, rows[(k2, k1)][::-1], rtol=0, atol=1e-9
         )
         assert np.all(row >= 0.0)
     P = cfg.n_packets
     for k1 in range(P + 1):
-        assert np.all(out.slices[(k1, P - k1)] == 0.0)
+        assert np.all(rows[(k1, P - k1)] == 0.0)
 
     # the same three for the diffusion scheme
     pcfg = PdeConfig(0.01, prior, UGrid(2.0, 0.1001))
-    pout = solve_pde(pcfg, keep_values=True)
-    for (k1, k2), row in pout.slices.items():
+    _, prows = swept_rows(solve_pde, pcfg)
+    for (k1, k2), row in prows.items():
         np.testing.assert_allclose(
-            row, pout.slices[(k2, k1)][::-1], rtol=0, atol=1e-9
+            row, prows[(k2, k1)][::-1], rtol=0, atol=1e-9
         )
         assert np.all(row >= 0.0)
     Pp = round(1.0 / pcfg.epsilon)
     for k1 in range(Pp + 1):
-        assert np.all(pout.slices[(k1, Pp - k1)] == 0.0)
+        assert np.all(prows[(k1, Pp - k1)] == 0.0)
 
     # coarser batching can only hurt
     risks = [

@@ -28,10 +28,3 @@ def test_risks_are_pinned():
         ev = evaluate(frozen, SymmetricPrior.two_point(d))
         assert ev.total_loss == pytest.approx(want, abs=1e-12)
 
-
-def test_retaining_values_does_not_change_the_actions():
-    cfg = DpConfig(0.2, SymmetricPrior.two_point(1.4), UGrid(2.0, 0.04))
-    full = solve_invariant(cfg, keep_values=True)
-    lean = solve_invariant(cfg)
-    assert (full.strategy.arm1 == lean.strategy.arm1).all()
-    assert full.bayes_risk == lean.bayes_risk

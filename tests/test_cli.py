@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from batchbandit import cli, search, strategy_eval
+from batchbandit import cli, search, simulate, strategy_eval
 from batchbandit.cli import main
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, solve_invariant
@@ -20,6 +20,12 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert rc == 0, out
     return json.loads(out)
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def test_solve_pure_initial_closed_form(capsys):
@@ -139,8 +145,52 @@ def test_prior_file_atom_that_is_not_a_json_number_exits_2(tmp_path, capsys, ato
     pf = tmp_path / "prior.json"
     pf.write_text(json.dumps({"atoms": atoms}))
     assert main(["solve", "--epsilon", "0.5", "--prior-file", str(pf)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(pf) in err[0]
+    assert str(pf) in _one_error_line(capsys)
+
+
+HUGE = 10**400  # a JSON integer beyond float range
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve --epsilon 0.5 --prior-file", {"atoms": [[HUGE, 1.0]]}),
+        ("solve --config", {"epsilon": 0.5, "d": HUGE}),
+        ("solve --config", {"epsilon": 0.5, "d": 1.0, "du": HUGE}),
+        ("search --epsilon 0.5 --config", {"d_max": HUGE}),
+        ("simulate --strategy STRATEGY --config", {"t": HUGE, "m": 100}),
+    ],
+    ids=["prior-file-w", "config-d", "config-du", "config-d_max", "config-t"],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = command.split() + [str(path)]
+    if "STRATEGY" in argv:
+        argv[argv.index("STRATEGY")] = str(_export_tenth(tmp_path))
+    assert main(argv) == 2
+    assert "beyond float range" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--epsilon", "0.25", "--d", "9.5e153"],
+        ["pde", "--epsilon", "0.01", "--d", "1e300", "--u-max", "2", "--du", "0.1"],
+    ],
+)
+def test_gap_whose_squared_rate_overflows_exits_2(capsys, argv):
+    # 2*w^2 = inf makes the t1 = 0 row's exponent -inf * 0, a NaN
+    assert main(argv) == 2
+    assert "2*w^2 overflows" in _one_error_line(capsys)
+
+
+# the losing branch's clipped exponential times w overflows to inf there,
+# which the argmin never takes
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_gap_just_below_the_overflow_still_solves(capsys):
+    doc = run_json(capsys, ["solve", "--epsilon", "0.25", "--d", "9.4e153"])
+    assert doc["bayes_risk"] == 4.7e153
 
 
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
@@ -314,6 +364,40 @@ def test_simulate_non_finite_d_exits_2(tmp_path, capsys, model, d):
                "--strategy", str(path), "--reps", "10"])
     assert rc == 2
     assert "d must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
+def test_simulate_negative_seed_exits_2(tmp_path, capsys, model):
+    path = _export_tenth(tmp_path)
+    rc = main(["simulate", "--model", model, "--t", "1000", "--m", "100",
+               "--strategy", str(path), "--reps", "10", "--seed", "-1"])
+    assert rc == 2
+    assert "seed must be nonnegative" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize(
+    "reps, message",
+    [("1000000000000", "over physical memory"), (str(HUGE), "beyond float range")],
+    ids=["1e12", "401-digit"],
+)
+def test_simulate_reps_beyond_memory_exits_2_before_allocating(
+    tmp_path, monkeypatch, capsys, model, reps, message
+):
+    path = _export_tenth(tmp_path)
+    batches = []
+    monkeypatch.setattr(simulate, "_batch_sizes", batches.append)
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", "--model", model, "--t", "1000", "--m", "100",
+                   "--strategy", str(path), "--reps", reps])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert message in _one_error_line(capsys)
+    assert peak < 10_000_000
+    assert batches == []  # no replication batch was laid out, let alone run
 
 
 def _bad_file(tmp_path, kind, content):

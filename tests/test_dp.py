@@ -11,7 +11,7 @@ from batchbandit.dp import DpConfig, diagonal_kernels, solve_invariant
 
 # The brute-force backward-quadrature oracle lives in dp_oracle.py so the
 # acceptance suite can run the same comparison.
-from dp_oracle import ORACLE_GRID, oracle_value
+from dp_oracle import ORACLE_GRID, oracle_value, swept_rows
 
 
 @pytest.mark.parametrize("n_packets", [2, 3, 4])
@@ -20,8 +20,8 @@ def test_solver_matches_oracle_at_every_state(n_packets, atoms):
     eps = 1.0 / n_packets
     grid = ORACLE_GRID
     prior = SymmetricPrior(atoms)
-    out = solve_invariant(DpConfig(eps, prior, grid), keep_values=True)
-    for (k1, k2), row in out.slices.items():
+    _, rows = swept_rows(solve_invariant, DpConfig(eps, prior, grid))
+    for (k1, k2), row in rows.items():
         want = oracle_value(atoms, eps, grid.u_max, n_packets, k1, k2, grid.points)
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-4)
 
@@ -30,8 +30,8 @@ def test_oracle_agreement_is_well_under_tolerance():
     # the 1e-4 bound in the acceptance gate is loose on purpose
     grid = ORACLE_GRID
     prior = SymmetricPrior.two_point(1.1)
-    out = solve_invariant(DpConfig(0.25, prior, grid), keep_values=True)
-    row = out.slices[(1, 1)]
+    _, rows = swept_rows(solve_invariant, DpConfig(0.25, prior, grid))
+    row = rows[(1, 1)]
     want = oracle_value(((1.1, 1.0),), 0.25, grid.u_max, 4, 1, 1, grid.points)
     np.testing.assert_allclose(row, want, rtol=0, atol=2e-5)
 
@@ -43,10 +43,12 @@ def test_oracle_agreement_is_well_under_tolerance():
 
 def test_pure_initial_stage_closed_form():
     # 1/eps = 2: both batches are forced, the risk is the initial term alone
-    out = solve_invariant(DpConfig(0.5, SymmetricPrior.two_point(1.0), UGrid(2.0, 0.05)))
+    out, rows = swept_rows(
+        solve_invariant, DpConfig(0.5, SymmetricPrior.two_point(1.0), UGrid(2.0, 0.05))
+    )
     assert out.bayes_risk == pytest.approx(1.0, abs=1e-12)
     assert out.bayes_risk_no_initial == 0.0
-    assert np.all(out.slices[(1, 1)] == 0.0)
+    assert np.all(rows[(1, 1)] == 0.0)
 
 
 def test_vanishing_gap_risk_vanishes():
@@ -81,10 +83,10 @@ def test_risk_monotone_in_batch_fraction():
 
 def test_terminal_zeros_nonnegativity_and_finiteness():
     cfg = DpConfig(0.1, SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02))
-    out = solve_invariant(cfg, keep_values=True)
+    _, rows = swept_rows(solve_invariant, cfg)
     P = cfg.n_packets
     seen_terminal = 0
-    for (k1, k2), row in out.slices.items():
+    for (k1, k2), row in rows.items():
         assert np.all(np.isfinite(row))
         assert np.all(row >= 0.0)
         if k1 + k2 == P:
@@ -94,12 +96,12 @@ def test_terminal_zeros_nonnegativity_and_finiteness():
 
 
 def test_arm_swap_symmetry_of_values():
-    out = solve_invariant(
+    _, rows = swept_rows(
+        solve_invariant,
         DpConfig(0.125, SymmetricPrior(((0.8, 0.3), (1.6, 0.7))), UGrid(3.0, 0.02)),
-        keep_values=True,
     )
-    for (k1, k2), row in out.slices.items():
-        mirrored = out.slices[(k2, k1)]
+    for (k1, k2), row in rows.items():
+        mirrored = rows[(k2, k1)]
         np.testing.assert_allclose(row, mirrored[::-1], rtol=0, atol=1e-9)
 
 
@@ -120,9 +122,9 @@ def test_tie_break_and_sign_convention():
 
 def test_strategy_symmetry_modulo_exact_ties():
     cfg = DpConfig(0.125, SymmetricPrior.two_point(1.3), UGrid(3.0, 0.02))
-    out = solve_invariant(cfg, keep_values=True)
+    out, rows = swept_rows(solve_invariant, cfg)
     P = cfg.n_packets
-    for (k1, k2) in out.slices:
+    for (k1, k2) in rows:
         if not (2 <= k1 + k2 <= P - 1):
             continue
         a = out.strategy.diagonal(k1 + k2)[k1]
@@ -130,8 +132,8 @@ def test_strategy_symmetry_modulo_exact_ties():
         disagree = a != ~b  # the mirrored state plays the other arm
         if np.any(disagree):
             # disagreements are only allowed at exact value ties
-            row = out.slices[(k1, k2)]
-            mirrored = out.slices[(k2, k1)][::-1]
+            row = rows[(k1, k2)]
+            mirrored = rows[(k2, k1)][::-1]
             assert np.allclose(row[disagree], mirrored[disagree], atol=1e-12)
 
 

@@ -6,6 +6,7 @@ import pytest
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid, loss_profile
 from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.pde import PdeConfig, solve_pde
+from dp_oracle import swept_rows
 
 
 TWO_ATOM = SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))
@@ -49,27 +50,14 @@ def full_lattice_march(atoms, eps, du, u_max):
     ],
 )
 def test_half_lattice_matches_the_full_lattice_march(prior, eps, du, u_max):
-    sol = solve_pde(PdeConfig(eps, prior, UGrid(u_max, du)), keep_values=True)
+    _, rows = swept_rows(solve_pde, PdeConfig(eps, prior, UGrid(u_max, du)))
     want = full_lattice_march(prior.atoms, eps, du, u_max)
-    assert sorted(sol.slices) == sorted(want)
+    assert sorted(rows) == sorted(want)
     for state, row in want.items():
-        np.testing.assert_allclose(sol.slices[state], row, rtol=0.0, atol=1e-13)
-    for (k1, k2), row in sol.slices.items():
+        np.testing.assert_allclose(rows[state], row, rtol=0.0, atol=1e-13)
+    for (k1, k2), row in rows.items():
         if k1 != k2:
-            assert np.array_equal(row, sol.slices[(k2, k1)][::-1]), (k1, k2)
-
-
-def test_kept_rows_past_the_half_diagonal_are_reversed_views():
-    sol = solve_pde(PdeConfig(0.05, TWO_ATOM, UGrid(2.0, 0.25)), keep_values=True)
-    P = 20
-    mirrored = 0
-    for (k1, k2), row in sol.slices.items():
-        if k1 + k2 < P and k1 > k2:
-            partner = sol.slices[(k2, k1)]
-            assert np.array_equal(row, partner[::-1]), (k1, k2)
-            assert np.shares_memory(row, partner), (k1, k2)
-            mirrored += 1
-    assert mirrored == sum((K + 1) // 2 for K in range(2, P))
+            assert np.array_equal(row, rows[(k2, k1)][::-1]), (k1, k2)
 
 
 def test_rejects_unstable_step_pairing():
@@ -100,7 +88,7 @@ def test_penultimate_diagonal_is_one_step_loss():
     eps, du = 0.25, 0.5
     prior = SymmetricPrior.two_point(1.1)
     grid = UGrid(2.0, du)
-    sol = solve_pde(PdeConfig(eps, prior, grid), keep_values=True)
+    _, rows = swept_rows(solve_pde, PdeConfig(eps, prior, grid))
     u = grid.points
     for k1, k2 in ((1, 2), (2, 1), (0, 3), (3, 0)):
         want = eps * np.minimum(
@@ -108,16 +96,7 @@ def test_penultimate_diagonal_is_one_step_loss():
             loss_profile(prior, -u, k1 * eps, k2 * eps),
         )
         want[0] = want[-1] = 0.0
-        np.testing.assert_allclose(sol.slices[(k1, k2)], want, atol=1e-14)
-
-
-def test_keep_values_retains_every_diagonal():
-    config = PdeConfig(0.25, SymmetricPrior.two_point(1.0), UGrid(2.3, 0.5))
-    sol = solve_pde(config, keep_values=True)
-    assert len(sol.slices) == 12  # sum of K+1 over K = 2..4
-    for row in sol.slices.values():
-        assert np.isfinite(row).all()
-        assert (row >= 0.0).all()
+        np.testing.assert_allclose(rows[(k1, k2)], want, atol=1e-14)
 
 
 def test_matches_exact_solver_as_eps_shrinks():
@@ -134,8 +113,8 @@ def test_matches_exact_solver_as_eps_shrinks():
 
 def test_limit_value_slice_is_symmetric():
     prior = SymmetricPrior(((0.8, 0.3), (1.9, 0.7)))
-    sol = solve_pde(PdeConfig(0.004, prior, UGrid(2.3, 0.0633)))
-    row = sol.slices[(1, 1)]
+    _, rows = swept_rows(solve_pde, PdeConfig(0.004, prior, UGrid(2.3, 0.0633)))
+    row = rows[(1, 1)]
     np.testing.assert_allclose(row, row[::-1], atol=1e-12)
 
 

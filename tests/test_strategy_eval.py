@@ -209,7 +209,7 @@ def test_forward_sweep_of_the_steady_arm_loses_d():
         assert loss == pytest.approx(d, abs=0.01)
 
 
-@pytest.mark.parametrize("gap", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("gap", [0.0, -1.0, np.nan, np.inf, 9.5e153])
 def test_forward_sweep_refuses_a_gap_that_is_not_positive_and_finite(gap):
     with pytest.raises(ConfigurationError, match="positive and finite"):
         frozen_losses(steady(1, 0.5, UGrid(1.0, 0.5)), [1.0, gap])
