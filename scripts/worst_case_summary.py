@@ -30,7 +30,8 @@ def main(argv=None):
     ap.add_argument("--d-min", type=float, default=0.5)
     ap.add_argument("--d-max", type=float, default=2.5)
     ap.add_argument("--step", type=float, default=0.25)
-    ap.add_argument("--tolerance", type=float, default=0.01)
+    ap.add_argument("--tolerance", type=float, default=0.01,
+                    help="width in d at which refine stops bracketing the maximum")
     ap.add_argument("--limit-epsilon", type=float, default=0.001)
     ap.add_argument("--skip-limit", action="store_true", help="dp sweep only")
     ap.add_argument("--out", help="summary JSON path (default: stdout)")
@@ -61,7 +62,7 @@ def summarize(args) -> None:
         }
         summary["batching_penalty"] = dp_res.risk_star / limit_res.risk_star
 
-    report = saddle_check(dp_res.d_star, args.epsilon, tolerance=args.tolerance)
+    report = saddle_check(dp_res.d_star, args.epsilon)
     summary["saddle"] = {
         "passed": report.passed,
         "max_loss_within_cutoff": report.max_within_cutoff,

@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-# exp() arguments are clipped here; the clipped branch is never the minimum
-# of the two actions, so the clip cannot flip a decision
+# exp() arguments are clipped here: the loss profile's, whose clipped branch
+# is never the minimum of the two actions (so the clip cannot flip a
+# decision), and those of the forward sweep's u-factor exp(-2*u*w)
 EXP_CLIP = 700.0
 
 
@@ -159,7 +160,8 @@ def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     sign flip of u is exact.  Scalar t1, t2 give one row; equal-length
     arrays give one row per (t1, t2) pair, e.g. a whole anti-diagonal.
     Exponents are clipped at EXP_CLIP to keep the losing branch finite for
-    extreme u*w products.
+    extreme u*w products, and lower where an atom's p*w would lift its term
+    past e**709 / n_atoms: the sum then stays below the float maximum.
     """
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     t = t1 + t2
@@ -169,10 +171,11 @@ def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     if tau.ndim:
         tau = tau[:, None]
     u = np.asarray(u, dtype=float)
-    out = None
+    out, n = None, len(prior.atoms)
     for w, p in prior.atoms:  # one temporary per atom; the first (>= 0) becomes the sum
         term = np.asarray(-2.0 * w * u - 2.0 * w * w * tau)  # scalar inputs stay 0-d
-        np.exp(np.minimum(term, EXP_CLIP, out=term), out=term)
+        clip = min(EXP_CLIP, 709.0 - math.log(n * p) - math.log(w))
+        np.exp(np.minimum(term, clip, out=term), out=term)
         term *= p * w
         out = term if out is None else np.add(out, term, out=out)
     return out
@@ -223,8 +226,6 @@ def convolve_zero_padded(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     longer than the row makes "same" return the kernel's length, so it takes
     the full convolution's slice.
     """
-    if kernel.size == 1:
-        return values * kernel[0]
     if kernel.size > values.size:
         half = kernel.size // 2
         return np.convolve(values, kernel)[half : half + values.size]

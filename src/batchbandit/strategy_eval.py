@@ -28,8 +28,10 @@ j = k1 <= K/2, for all gaps at once.  Each gap w adds
 the profile's exponential factored into a part in u, built once per call,
 and a part in tau_j = t1*t2/t, built once per diagonal, so one matrix
 product of the played rows with every gap's E replaces a loss profile per
-gap.  Where 2*w*u_max exceeds core.EXP_CLIP the profile's clip can act and
-E could overflow, so those gaps keep the clipped profile, core.loss_profile.
+gap.  E's exponent is clipped at core.EXP_CLIP, as the profile clips its
+own, so E is finite at every gap.  The clip acts only where 2*w*u_max
+exceeds it, and there only on states that carry no mass (row k1 = 0 is
+never reached) or too little to show; below it nothing changes, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .core import (
     UGrid,
     centered_gaussian_weights,
     convolve_zero_padded,
-    loss_profile,
 )
 from .dp import (
     _KERNELS,
@@ -89,7 +90,8 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     """The table's loss under the two-point prior at each positive gap w,
     from one forward sweep of the state density: two arrays, the loss with
     the forced initial stage (2*eps*w) and without it.  Each entry agrees
-    with evaluate at that gap to rounding (about 1e-16).
+    with evaluate at that gap to rounding, relative to max(1, loss), at any
+    gap SymmetricPrior accepts.
 
     On diagonal K the density of row k1 splits by the table's arm: the arm-1
     part moves to row k1 + 1 of diagonal K + 1 through kernel K - k1, the
@@ -104,13 +106,10 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     with np.errstate(over="ignore"):  # SymmetricPrior's rule: 2*w^2 finite
         if not (np.isfinite(2.0 * w * w) & (w > 0.0)).all():
             raise ConfigurationError("gaps must be positive and finite, with 2*w^2 finite")
-    # where 2*w*u_max exceeds EXP_CLIP the loss profile's clip can act, so
-    # those gaps keep it; the others factor exp(-2*u*w) out of every diagonal
-    clip = 2.0 * w * grid.u_max > EXP_CLIP
-    w_exp = w[~clip]
-    e_u = np.exp(np.multiply.outer(u, -2.0 * w_exp))
-    unit_priors = [SymmetricPrior.two_point(d) for d in w[clip]]
-    factored_sums, clipped_sums = np.zeros(w_exp.size), np.zeros(len(unit_priors))
+    # exp(-2*u*w), factored out of every diagonal, clipped as the loss
+    # profile clips its exponent: finite at every gap
+    e_u = np.exp(np.minimum(np.multiply.outer(u, -2.0 * w), EXP_CLIP))
+    sums = np.zeros(w.size)
     # the statistic after the two forced batches: N(0, eps/2) on row (1, 1),
     # the weights the backward sweep's risk assembly integrates against
     idx, weights = centered_gaussian_weights(grid, 0.5 * eps)
@@ -139,14 +138,9 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
         j = np.arange(H)
         t1, t2 = j * eps, (K - j) * eps
         tau = t1 * t2 / (t1 + t2)
-        e_tau = np.exp(np.multiply.outer(tau, -2.0 * w_exp * w_exp))
-        factored_sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
-        for a, unit in enumerate(unit_priors):
-            clipped_sums[a] += np.vdot(played[:H], loss_profile(unit, u, t1, t2))
-    no_initial = np.empty(w.size)  # eps * w times each gap's weighed exponentials
-    no_initial[~clip] = w_exp * factored_sums
-    no_initial[clip] = clipped_sums  # a unit prior's loss profile includes w
-    no_initial *= eps
+        e_tau = np.exp(np.multiply.outer(tau, -2.0 * w * w))
+        sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
+    no_initial = w * sums * eps  # w times each gap's weighed exponentials, times eps
     if not np.isfinite(no_initial).all():
         raise InternalError("non-finite loss in the forward sweep")
     return no_initial + 2.0 * eps * w, no_initial

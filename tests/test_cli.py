@@ -185,12 +185,12 @@ def test_gap_whose_squared_rate_overflows_exits_2(capsys, argv):
     assert "2*w^2 overflows" in _one_error_line(capsys)
 
 
-# the losing branch's clipped exponential times w overflows to inf there,
-# which the argmin never takes
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_gap_just_below_the_overflow_still_solves(capsys):
-    doc = run_json(capsys, ["solve", "--epsilon", "0.25", "--d", "9.4e153"])
-    assert doc["bayes_risk"] == 4.7e153
+    # from w of about 1.8e4 on, p*w*exp(EXP_CLIP) passes the float maximum:
+    # the losing branch's clip is lowered there, with no overflow warning
+    for d, risk in (("2e4", 10000.0), ("9.4e153", 4.7e153)):
+        doc = run_json(capsys, ["solve", "--epsilon", "0.25", "--d", d])
+        assert doc["bayes_risk"] == risk
 
 
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
@@ -481,6 +481,20 @@ def test_figure1_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fed932f791eb7ef0b99587ce25c59fb96dcb550a1862413869c16c974c081e73"
     )
+
+
+def test_figure1_frozen_columns_at_large_gaps(tmp_path):
+    # 2*w*u_max far beyond EXP_CLIP: the forward sweep's clipped u-factor
+    # meets the unreachable k1 = 0 row's zero mass, and the loss is the
+    # forced stage 2*eps*d alone
+    out = tmp_path / "fig.csv"
+    argv = ["figure1", "--epsilon", "0.25", "--d-min", "1e4", "--d-max", "3e4",
+            "--step", "1e4", "--u-max", "2", "--du", "0.05", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert [(d, exp, exp_ni) for d, _, exp, _, exp_ni in rows] == [
+        (d, 0.5 * d, 0.0) for d in (1e4, 2e4, 3e4)
+    ]
 
 
 def test_figure1_rejects_bad_range(tmp_path, capsys):

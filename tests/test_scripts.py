@@ -25,6 +25,28 @@ def test_worst_case_summary(tmp_path):
     assert isinstance(doc["saddle"]["passed"], bool)
 
 
+def test_worst_case_summary_tolerance_is_the_refine_bracket_width(tmp_path):
+    main = script_main("worst_case_summary.py")
+    names = main.__globals__
+    calls = {}
+
+    def recorder(name):
+        real = names[name]
+
+        def call(*args, **kwargs):
+            calls[name] = kwargs
+            return real(*args, **kwargs)
+
+        return call
+
+    names.update(refine=recorder("refine"), saddle_check=recorder("saddle_check"))
+    argv = ["--epsilon", "0.25", "--tolerance", "0.5", "--skip-limit", "--out",
+            str(tmp_path / "summary.json")]
+    assert main(argv) == 0
+    # a bracket width in d, not the saddle check's loss slack in risk units
+    assert calls == {"refine": {"tolerance": 0.5}, "saddle_check": {}}
+
+
 def test_loss_curves(tmp_path):
     out = tmp_path / "curves.csv"
     main = script_main("loss_curves.py")

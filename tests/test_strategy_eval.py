@@ -193,6 +193,28 @@ def test_forward_sweep_matches_the_backward_sweep(eps, seed, priors):
         assert abs(got_no_initial - want.loss_no_initial) <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    eps=st.sampled_from((0.5, 0.25, 0.2, 0.125, 0.1, 0.05)),
+    seed=st.integers(0, 2**32 - 1),
+    gaps=st.lists(st.floats(0.05, 2000.0), min_size=1, max_size=6, unique=True),
+)
+def test_forward_sweep_matches_the_backward_sweep_at_clipped_gaps(eps, seed, gaps):
+    # 2*w*u_max reaches 8000, far past EXP_CLIP: the u-factor's clip must
+    # leave the losses those of the clipped loss profile
+    grid = UGrid(2.0, 0.1)
+    states = len(list(_states(packet_count(eps))))
+    arm1 = np.random.default_rng(seed).random((states, grid.n_points)) < 0.5
+    table = EvalStrategy(epsilon=eps, grid=grid, arm1=arm1)
+    total, no_initial = frozen_losses(table, gaps)
+    for w, got_total, got_no_initial in zip(gaps, total.tolist(), no_initial.tolist()):
+        want = evaluate(table, SymmetricPrior.two_point(w))
+        assert abs(got_total - want.total_loss) <= 1e-13 * max(1.0, want.total_loss)
+        assert abs(got_no_initial - want.loss_no_initial) <= 1e-13 * max(
+            1.0, want.loss_no_initial
+        )
+
+
 def mixed_loss(prior, eps, gaps, no_initial):
     """sum_i pi_i L0(w_i) + 2*eps*mean_w and sum_i pi_i L0(w_i), L0 the
     per-gap losses without the forced stage."""
