@@ -7,24 +7,22 @@ removed, and on every --sim-every-th row the Bernoulli-trial estimate of the
 frozen strategy's loss with its standard error.  The frozen-strategy column
 keeps growing past the worst case while the reoptimized one flattens; the
 simulation column should track the frozen one within a few standard errors.
+Each simulated replication plays T = M/epsilon items in packets of M (--m).
 
     python3 scripts/loss_curves.py --epsilon 0.02 --out curves.csv
 """
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from batchbandit.cli import exit_code
+from batchbandit.core import ConfigurationError, packet_count
 from batchbandit.search import d_range, scan
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli
-from batchbandit.strategy_eval import risk_curve
+from batchbandit.strategy_eval import RiskCurveRow, risk_curve
 from batchbandit.strategy_io import atomic_write
-
-HEADER = (
-    "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init,"
-    "sim_mean,sim_se"
-)
 
 
 def main(argv=None):
@@ -35,7 +33,6 @@ def main(argv=None):
     ap.add_argument("--d-min", type=float, default=0.2)
     ap.add_argument("--d-max", type=float, default=20.0)
     ap.add_argument("--step", type=float, default=0.2)
-    ap.add_argument("--t", type=int, default=5000, help="items per replication")
     ap.add_argument("--m", type=int, default=100, help="packet size")
     ap.add_argument("--p", type=float, default=0.5)
     ap.add_argument("--reps", type=int, default=20000)
@@ -46,18 +43,18 @@ def main(argv=None):
     )
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-
-    if args.sim_every and abs(args.m / args.t - args.epsilon) > 1e-9:
-        ap.error(f"--t/--m imply epsilon {args.m / args.t}, not {args.epsilon}")
     return exit_code(lambda: write_curves(args))
 
 
 def write_curves(args) -> None:
+    if args.sim_every < 0:
+        raise ConfigurationError(f"--sim-every must be nonnegative, got {args.sim_every}")
     ds = d_range(args.d_min, args.d_max, args.step)
+    n_items = args.m * packet_count(args.epsilon)
 
     def trial(i: int) -> BatchTrialConfig:
         return BatchTrialConfig(
-            n_items=args.t,
+            n_items=n_items,
             batch_size=args.m,
             p=args.p,
             d=ds[i],
@@ -76,17 +73,13 @@ def write_curves(args) -> None:
         freeze_d = scan(0.5, 2.5, 0.25, backend="dp", epsilon=args.epsilon).best().d
     table, rows = risk_curve(ds, args.epsilon, freeze_d=freeze_d)
 
-    lines = [HEADER]
+    lines = [",".join([*(f.name for f in fields(RiskCurveRow)), "sim_mean", "sim_se"])]
     for i, row in enumerate(rows):
         sim = ["", ""]
         if args.sim_every and i % args.sim_every == 0:
             res = simulate_bernoulli(trial(i), table)
             sim = [f"{res.normalized_loss_mean:.6g}", f"{res.standard_error:.6g}"]
-        lines.append(
-            f"{row.d:.6g},{row.bayes_risk:.6g},{row.expected_loss:.6g},"
-            f"{row.bayes_risk_no_init:.6g},{row.expected_loss_no_init:.6g},"
-            f"{sim[0]},{sim[1]}"
-        )
+        lines.append(",".join([*(f"{x:.6g}" for x in astuple(row)), *sim]))
     text = "\n".join(lines) + "\n"
     atomic_write(Path(args.out), lambda tmp: tmp.write_text(text))
     print(f"{args.out}: {len(rows)} rows, strategy frozen at d={freeze_d:.4g}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -28,10 +28,8 @@ from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
 from .search import backend_grid, d_range, refine, scan
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
-from .strategy_eval import risk_curve
+from .strategy_eval import RiskCurveRow, risk_curve
 from .strategy_io import _read_json, atomic_write, load_strategy, save_strategy
-
-_FIGURE1_HEADER = "d,bayes_risk,expected_loss,bayes_risk_no_init,expected_loss_no_init"
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,8 @@ def _cmd_figure1(cfg: dict) -> None:
         d_range(cfg["d_min"], cfg["d_max"], cfg["step"]), cfg["epsilon"],
         grid=cfg["grid"], freeze_d=cfg["freeze_d"],
     )
-    lines = [_FIGURE1_HEADER]
-    for r in rows:
-        row = (r.d, r.bayes_risk, r.expected_loss, r.bayes_risk_no_init, r.expected_loss_no_init)
-        lines.append(",".join(_f6(x) for x in row))
+    lines = [",".join(f.name for f in fields(RiskCurveRow))]
+    lines += [",".join(_f6(x) for x in astuple(r)) for r in rows]
     text = "\n".join(lines) + "\n"
     atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
 

@@ -25,6 +25,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # saddle_check fails only exceedances up to this gap; beyond it the forced
 # initial stage, 2*eps*d, dominates any strategy's loss
 SADDLE_CUTOFF = 16.0
+# saddle_check's slack in risk units: the frozen losses within the cutoff may
+# exceed risk_star, and the loss at d_star may miss it, by this much
+SADDLE_TOLERANCE = 0.01
 # the forward sweep's saddle_check loss at d_star may differ from the
 # backward sweep's by rounding only
 ANCHOR_TOLERANCE = 1e-12
@@ -65,12 +68,8 @@ class ScanCurve:
     grid: UGrid
     points: tuple[ScanPoint, ...]
 
-    @property
-    def risks(self) -> np.ndarray:
-        return np.array([p.risk for p in self.points])
-
     def best_index(self) -> int:
-        return int(np.argmax(self.risks))
+        return int(np.argmax([p.risk for p in self.points]))
 
     def best(self) -> ScanPoint:
         return self.points[self.best_index()]
@@ -196,9 +195,9 @@ class SaddleReport:
 
     passed means: within the cutoff (SADDLE_CUTOFF) no loss exceeds
     risk_star + tolerance and the loss at d_star matches risk_star within the
-    tolerance.  Exceedances beyond the cutoff are listed, not failed; their
-    loss_no_initial column shows how much of the excess the forced initial
-    stage contributes.
+    tolerance (SADDLE_TOLERANCE).  Exceedances beyond the cutoff are listed,
+    not failed; their loss_no_initial column shows how much of the excess the
+    forced initial stage contributes.
 
     passed also bounds the multi-atom priors.  The frozen strategy's loss
     under a symmetric prior with atoms (w_i, pi_i) is the linear combination
@@ -226,16 +225,15 @@ def saddle_check(
     d_star: float,
     epsilon: float,
     *,
-    grid: UGrid | None = None,
+    grid: UGrid = UGrid(),
     d_values=None,
-    tolerance: float = 0.01,
 ) -> SaddleReport:
     """Freeze the optimal strategy at d_star and sweep its expected loss
     over two-point priors; see SaddleReport for the pass condition.
 
     d_values defaults to 0.4, 0.8, ... up to SADDLE_CUTOFF plus 18 and 20;
     d_star is always added, and at least one gap must lie within the cutoff.
-    The tolerance and every prior are validated before the solve at d_star.
+    Every prior is validated before the solve at d_star.
 
     The rows come from one forward sweep of the frozen table's state density
     (strategy_eval.frozen_losses), which serves every gap at once.  The
@@ -243,9 +241,6 @@ def saddle_check(
     which reproduces the solver's own risk, and the forward value there must
     agree with it within ANCHOR_TOLERANCE, or the check raises InternalError.
     """
-    if not tolerance > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
-    g = grid if grid is not None else UGrid()
     if d_values is None:
         d_values = np.concatenate([np.arange(0.4, SADDLE_CUTOFF + 1e-9, 0.4), [18.0, 20.0]])
     ds = sorted(set(float(d) for d in d_values) | {float(d_star)})
@@ -257,7 +252,7 @@ def saddle_check(
         )
     star = ds.index(float(d_star))
 
-    out = solve_invariant(DpConfig(epsilon, priors[star], g))
+    out = solve_invariant(DpConfig(epsilon, priors[star], grid))
     frozen = EvalStrategy.from_table(out.strategy)
     risk_star = out.bayes_risk
     loss, loss_no_initial = frozen_losses(frozen, ds)
@@ -277,15 +272,14 @@ def saddle_check(
     max_within = max(r.loss for r in within)
     at_star = rows[star]
     equality_gap = abs(at_star.loss - risk_star)
-    passed = max_within <= risk_star + tolerance and equality_gap <= tolerance
-    exceedances = tuple(
-        r for r in rows if r.d > SADDLE_CUTOFF + 1e-9 and r.loss > risk_star + tolerance
-    )
+    bound = risk_star + SADDLE_TOLERANCE
+    passed = max_within <= bound and equality_gap <= SADDLE_TOLERANCE
+    exceedances = tuple(r for r in rows if r.d > SADDLE_CUTOFF + 1e-9 and r.loss > bound)
     return SaddleReport(
         d_star=float(d_star),
         risk_star=risk_star,
         cutoff=SADDLE_CUTOFF,
-        tolerance=tolerance,
+        tolerance=SADDLE_TOLERANCE,
         rows=tuple(rows),
         max_within_cutoff=max_within,
         equality_gap=equality_gap,

@@ -34,8 +34,8 @@ def _check_trial(n_packets: int, d: float, replications: int, seed: int, orienta
     if n_packets < 2:
         raise ConfigurationError("need at least two packets")
     d = as_float(d, "d")
-    if not (math.isfinite(d) and d >= 0.0):
-        raise ConfigurationError(f"d must be finite and nonnegative, got {d}")
+    if not (math.isfinite(2.0 * d * d) and d >= 0.0):  # SymmetricPrior's rule
+        raise ConfigurationError(f"d must be finite and nonnegative with 2*d^2 finite, got {d}")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
     if seed < 0:

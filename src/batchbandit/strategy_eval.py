@@ -159,7 +159,7 @@ def risk_curve(
     d_values,
     epsilon: float,
     *,
-    grid: UGrid | None = None,
+    grid: UGrid = UGrid(),
     freeze_d: float | None = None,
 ) -> tuple[StrategyTable, list[RiskCurveRow]]:
     """Bayes risk and frozen-strategy loss across two-point priors.
@@ -172,19 +172,18 @@ def risk_curve(
     sweep.  Returns the frozen table and one row per d.
     Every prior, freeze_d's included, is validated before the first solve.
     """
-    g = grid if grid is not None else UGrid()
     ds = [float(d) for d in d_values]
     if not ds:
         raise ConfigurationError("risk_curve needs at least one gap d")
     priors = [SymmetricPrior.two_point(d) for d in ds]
     frozen_at = None if freeze_d is None else SymmetricPrior.two_point(freeze_d)
     bayes = [
-        solve_invariant(DpConfig(epsilon, prior, g), keep_strategy=False) for prior in priors
+        solve_invariant(DpConfig(epsilon, prior, grid), keep_strategy=False) for prior in priors
     ]
     if frozen_at is None:
         risks = [out.bayes_risk for out in bayes] + [-np.inf]
         frozen_at = priors[next(i for i in range(len(ds)) if risks[i] >= risks[i + 1])]
-    table = solve_invariant(DpConfig(epsilon, frozen_at, g)).strategy
+    table = solve_invariant(DpConfig(epsilon, frozen_at, grid)).strategy
     loss, loss_no_init = frozen_losses(table, ds)
     rows = [
         RiskCurveRow(

@@ -366,6 +366,19 @@ def test_simulate_non_finite_d_exits_2(tmp_path, capsys, model, d):
     assert "d must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, rc", [("0", 0), ("9.4e153", 0), ("1e200", 2), ("1e308", 2)])
+def test_simulate_gaussian_refuses_a_gap_whose_square_overflows(tmp_path, capsys, d, rc):
+    # the rule solve applies to a gap: 2*d^2 finite; every gap below it runs,
+    # with no overflow warning on the way
+    path = _export_tenth(tmp_path)
+    argv = ["simulate", "--model", "gaussian", "--d", d, "--strategy", str(path), "--reps", "10"]
+    if rc == 0:
+        assert np.isfinite(run_json(capsys, argv)["normalized_loss_mean"])
+    else:
+        assert main(argv) == 2
+        assert "2*d^2 finite" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
 def test_simulate_negative_seed_exits_2(tmp_path, capsys, model):
     path = _export_tenth(tmp_path)

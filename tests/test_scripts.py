@@ -50,7 +50,7 @@ def test_worst_case_summary_tolerance_is_the_refine_bracket_width(tmp_path):
 def test_loss_curves(tmp_path):
     out = tmp_path / "curves.csv"
     main = script_main("loss_curves.py")
-    argv = ["--epsilon", "0.25", "--t", "400", "--m", "100", "--d-min", "0.5", "--d-max", "1.0",
+    argv = ["--epsilon", "0.25", "--m", "100", "--d-min", "0.5", "--d-max", "1.0",
             "--step", "0.5", "--reps", "200", "--sim-every", "1", "--out", str(out)]
     assert main(argv) == 0
     header, *rows = out.read_text().splitlines()
@@ -75,7 +75,7 @@ def test_loss_curves_bytes_are_pinned(tmp_path, freeze, sha256):
     # ten packets: unlike four, the frozen columns differ with the freeze gap
     out = tmp_path / "curves.csv"
     main = script_main("loss_curves.py")
-    argv = ["--epsilon", "0.1", "--t", "1000", "--m", "100", "--d-min", "0.5", "--d-max", "3",
+    argv = ["--epsilon", "0.1", "--m", "100", "--d-min", "0.5", "--d-max", "3",
             "--step", "1.25", "--reps", "200", "--sim-every", "1", "--out", str(out), *freeze]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
@@ -88,7 +88,7 @@ def test_loss_curves_failure_leaves_no_output(tmp_path, capsys):
     # which here would fail as an internal error (exit 1)
     main.__globals__["risk_curve"] = None
     main.__globals__["scan"] = None
-    argv = ["--epsilon", "0.25", "--t", "8", "--m", "2", "--d-min", "0.5", "--d-max", "4",
+    argv = ["--epsilon", "0.25", "--m", "2", "--d-min", "0.5", "--d-max", "4",
             "--step", "0.5", "--sim-every", "1", "--freeze-d", "1.0", "--reps", "50",
             "--out", str(out)]
     assert main(argv) == 2
@@ -96,9 +96,22 @@ def test_loss_curves_failure_leaves_no_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: arm probability") and err.count("\n") == 1
     for step in ("0", "-0.5"):  # a d range that never reaches --d-max
-        assert main([*argv[:11], step, *argv[12:]]) == 2
+        assert main([*argv[:9], step, *argv[10:]]) == 2
         assert capsys.readouterr().err.startswith("error: step must be positive")
         assert not out.exists()
+
+
+def test_loss_curves_refuses_a_negative_sim_every(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    main = script_main("loss_curves.py")
+    main.__globals__["risk_curve"] = None  # refused before anything is solved
+    main.__globals__["scan"] = None
+    argv = ["--epsilon", "0.25", "--d-min", "0.5", "--d-max", "1.0", "--sim-every", "-1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sim-every must be nonnegative") and err.count("\n") == 1
 
 
 def test_worst_case_summary_bad_config_exits_2(tmp_path, capsys):

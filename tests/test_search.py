@@ -204,13 +204,6 @@ def test_saddle_check_refuses_a_bad_gap_before_the_solve(monkeypatch, d):
         saddle_check(1.6, EPS, grid=GRID, d_values=[0.8, d])
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
-def test_saddle_check_refuses_a_tolerance_that_is_not_positive(monkeypatch, tolerance):
-    monkeypatch.setattr(search, "solve_invariant", None)
-    with pytest.raises(ConfigurationError, match="tolerance must be positive"):
-        saddle_check(1.6, EPS, grid=GRID, tolerance=tolerance)
-
-
 def test_saddle_check_needs_a_gap_within_the_cutoff(monkeypatch):
     monkeypatch.setattr(search, "solve_invariant", None)
     with pytest.raises(ConfigurationError, match="cutoff 16.0"):
