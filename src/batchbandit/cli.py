@@ -1,15 +1,17 @@
 """Command-line surface.
 
-Each subcommand declares its parameters once as Param records; the parser,
-the legal --config keys, the config-file type check and the resolved values
-all come from there.  A value comes from its flag, else the flat JSON
---config file (unknown keys and wrong types are rejected), else the declared
-default; an unset --u-max or --du takes the backend's library default
-(UGrid's for dp, PdeConfig's for pde).  Output floats carry six significant
-digits; files are written after the computation finishes (temp file +
-rename), so failures leave nothing behind.  Exit codes: 0 success, 2
-invalid configuration, an unreadable input or unwritable output file
-(ConfigurationError), 1 anything else: a numerical failure or a bug.
+Each parameter is one Param record, shared by every subcommand that takes
+it; the parser, the legal --config keys, the config-file type check and the
+resolved values all come from there.  A value comes from its flag, else the
+flat JSON --config file (unknown keys and wrong types are rejected), else
+the declared default; an unset --u-max or --du takes the backend's library
+default (UGrid's for dp, PdeConfig's for pde).  Output floats carry six
+significant digits, except in worst-case's summary, which prints them at
+full precision; files are written after the computation finishes
+(temp file + rename), so failures leave nothing behind.  Exit codes: 0
+success, 2 invalid configuration, an unreadable input or unwritable
+output file (ConfigurationError), 1 anything else: a numerical failure or
+a bug.
 """
 
 from __future__ import annotations
@@ -17,19 +19,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, dataclass, fields
+import time
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior
+from .core import ConfigurationError, SymmetricPrior, packet_count
 from .dp import DpConfig, solve_invariant
 from .pde import PdeConfig, solve_pde
-from .search import backend_grid, d_range, refine, scan
+from .search import backend_grid, d_range, refine, saddle_check, scan
 from .simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from .strategy_eval import RiskCurveRow, risk_curve
-from .strategy_io import _read_json, atomic_write, load_strategy, save_strategy
+from .strategy_io import _json_number, _read_json, atomic_write, load_strategy, save_strategy
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,7 @@ class Param:
 
     def accepts(self, value) -> bool:
         """Whether a config-file value fits; JSON ints pass as floats, bools never."""
-        kinds = (int, float) if self.type is float else self.type
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
+        ok = isinstance(value, str) if self.type is str else _json_number(value, self.type is int)
         return ok and (self.choices is None or value in self.choices)
 
 
@@ -78,6 +80,22 @@ _GRID = (
     Param("du", float, help="u-grid spacing (default: the backend's)"),
 )
 _OUT = Param("out", help="summary JSON path (default: stdout)")
+# the gap window of the worst-case search; loss-curves freezes at its default scan's best
+_WINDOW = (
+    Param("d_min", float, 0.5), Param("d_max", float, 2.5), Param("step", float, 0.25),
+    Param("tolerance", float, 0.01, help="width in d at which refinement stops"),
+)
+# the range of gaps a curve CSV covers, and that CSV
+_CURVE = (
+    Param("epsilon", float, 0.02), Param("d_min", float, 0.2),
+    Param("d_max", float, 20.0), Param("step", float, 0.2),
+    Param("out", required=True, help="CSV output path"),
+)
+# packet size, baseline probability and seed of the Bernoulli trials
+_TRIAL = (
+    Param("m", int, 100, help="packet size"),
+    Param("p", float, 0.5, help="baseline success probability"), Param("seed", int, 0),
+)
 
 
 def resolve(command: Command, args: argparse.Namespace) -> dict:
@@ -125,7 +143,9 @@ def _j6(x: float) -> float:
 
 def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
     """Prior from --d or --prior-file (atoms [[w, pi], ...], no other key)."""
-    if cfg.get("prior_file"):
+    if cfg["prior_file"] and cfg["d"] is not None:
+        raise ConfigurationError("give either --d or --prior-file, not both")
+    if cfg["prior_file"]:
         path = Path(cfg["prior_file"])
         doc = _read_json(path, "prior")
         unknown = sorted(set(doc) - {"atoms"}) if isinstance(doc, dict) else []
@@ -133,12 +153,12 @@ def _resolve_prior(cfg: dict) -> tuple[SymmetricPrior, float | None]:
             raise ConfigurationError(f"{path}: unknown prior keys: {unknown}")
         try:
             atoms = tuple((w, p) for w, p in doc["atoms"])
-            if not all(type(x) in (int, float) for atom in atoms for x in atom):  # no bool
+            if not all(_json_number(x) for atom in atoms for x in atom):
                 raise TypeError("w and pi must be JSON numbers")
         except (KeyError, TypeError, ValueError):
             raise ConfigurationError(f"{path}: expected {{'atoms': [[w, pi], ...]}}") from None
         return SymmetricPrior(atoms), None
-    if cfg.get("d") is None:
+    if cfg["d"] is None:
         raise ConfigurationError("need either --d or --prior-file")
     return SymmetricPrior.two_point(cfg["d"]), cfg["d"]
 
@@ -160,11 +180,10 @@ def _cmd_solve(cfg: dict) -> dict:
 
 @_command(
     "figure1", "risk and frozen-strategy loss curves as CSV",
-    Param("epsilon", float, 0.02), Param("d_min", float, 0.2),
-    Param("d_max", float, 20.0), Param("step", float, 0.2),
+    *_CURVE,
     Param("freeze_d", float,
           help="freeze the strategy at this d (default: the first local Bayes-risk maximum)"),
-    *_GRID, Param("out", required=True, help="CSV output path"),
+    *_GRID,
 )
 def _cmd_figure1(cfg: dict) -> None:
     _, rows = risk_curve(
@@ -195,9 +214,7 @@ def _cmd_pde(cfg: dict) -> dict:
 
 @_command(
     "search", "worst-case gap scan and refinement",
-    Param("backend", default="dp", choices=("dp", "pde")), _EPSILON,
-    Param("d_min", float, 0.5), Param("d_max", float, 2.5), Param("step", float, 0.25),
-    Param("tolerance", float, 0.01, help="width at which refinement stops"), *_GRID, _OUT,
+    Param("backend", default="dp", choices=("dp", "pde")), _EPSILON, *_WINDOW, *_GRID, _OUT,
 )
 def _cmd_search(cfg: dict) -> dict:
     backend, eps, grid = cfg["backend"], cfg["epsilon"], cfg["grid"]
@@ -216,10 +233,9 @@ def _cmd_search(cfg: dict) -> dict:
 
 @_command(
     "simulate", "Monte-Carlo trial driven by a strategy file",
-    Param("t", int, 5000, help="total items"), Param("m", int, 100, help="packet size"),
-    Param("p", float, 0.5, help="baseline success probability"), Param("d", float, 1.6),
+    Param("t", int, 5000, help="total items"), *_TRIAL, Param("d", float, 1.6),
     Param("strategy", required=True, help="CSV produced by export-strategy"),
-    Param("reps", int, 10000), Param("seed", int, 0),
+    Param("reps", int, 10000),
     Param("model", default="bernoulli", choices=("bernoulli", "gaussian")),
     Param("orientation", int, choices=(-1, 1)), _OUT,
 )
@@ -255,6 +271,82 @@ def _cmd_export_strategy(cfg: dict) -> None:
     prior, _ = _resolve_prior(cfg)
     out = solve_invariant(DpConfig(cfg["epsilon"], prior, cfg["grid"]))
     save_strategy(out.strategy, cfg["out"], prior)
+
+
+@_command(
+    "worst-case", "finite-epsilon worst case against the diffusion limit, with the saddle check",
+    Param("epsilon", float, 0.02, help="batch fraction M/T"), *_WINDOW,
+    Param("limit_epsilon", float, 0.001, help="the diffusion limit's epsilon; 0 skips the limit"),
+    _OUT,
+)
+def _cmd_worst_case(cfg: dict) -> dict:
+    """The dp scan and refinement over the window, the same by the diffusion
+    scheme at limit_epsilon, both maxima, the batching penalty ratio and a
+    frozen-strategy saddle check; about half a minute at the defaults."""
+    t0 = time.perf_counter()
+
+    def worst(backend: str, epsilon: float):
+        curve = scan(cfg["d_min"], cfg["d_max"], cfg["step"], backend=backend, epsilon=epsilon)
+        res = refine(curve, tolerance=cfg["tolerance"])
+        return curve, res, {"epsilon": epsilon, "d_star": res.d_star, "risk_star": res.risk_star}
+
+    curve, dp_res, summary = worst("dp", cfg["epsilon"])
+    summary["scan"] = [asdict(p) for p in curve.points]
+    if cfg["limit_epsilon"]:
+        _, limit_res, summary["limit"] = worst("pde", cfg["limit_epsilon"])
+        summary["batching_penalty"] = dp_res.risk_star / limit_res.risk_star
+    report = saddle_check(dp_res.d_star, cfg["epsilon"])
+    summary["saddle"] = {
+        "passed": report.passed,
+        "max_loss_within_cutoff": report.max_within_cutoff,
+        "equality_gap": report.equality_gap,
+        "cutoff": report.cutoff,
+        "exceedances": [asdict(r) for r in report.exceedances],
+    }
+    summary["seconds"] = round(time.perf_counter() - t0, 2)
+    return summary
+
+
+@_command(
+    "loss-curves", "figure1's curves with Monte-Carlo spot checks of the frozen column",
+    *_CURVE, *_TRIAL, Param("reps", int, 20000),
+    Param("sim_every", int, 10, help="simulate every n-th row; 0 disables simulation"),
+    Param("freeze_d", float, help="freeze the strategy here instead of scanning"),
+)
+def _cmd_loss_curves(cfg: dict) -> None:
+    """figure1's columns, the strategy frozen at the worst case of the default
+    search window, and on every sim_every-th row the Bernoulli-trial estimate
+    of the frozen strategy's loss with its standard error; it should track the
+    frozen column within a few standard errors.  Each replication plays
+    T = M/epsilon items in packets of M.  Numbers are written as %.6g."""
+    every, eps = cfg["sim_every"], cfg["epsilon"]
+    if every < 0:
+        raise ConfigurationError(f"--sim-every must be nonnegative, got {every}")
+    ds = d_range(cfg["d_min"], cfg["d_max"], cfg["step"])
+    n_items = cfg["m"] * packet_count(eps)
+
+    def trial(i: int) -> BatchTrialConfig:
+        return BatchTrialConfig(n_items, cfg["m"], cfg["p"], ds[i], cfg["reps"], cfg["seed"] + i)
+
+    if every:
+        # the arm probabilities p +- delta spread with d: the largest simulated
+        # d fails first, so check it before anything is solved
+        trial((len(ds) - 1) // every * every)
+    freeze_d = cfg["freeze_d"]
+    if freeze_d is None:
+        window = (p.default for p in _WINDOW[:3])
+        freeze_d = scan(*window, backend="dp", epsilon=eps).best().d
+    table, rows = risk_curve(ds, eps, freeze_d=freeze_d)
+    lines = [",".join([*(f.name for f in fields(RiskCurveRow)), "sim_mean", "sim_se"])]
+    for i, row in enumerate(rows):
+        sim = ["", ""]
+        if every and i % every == 0:
+            res = simulate_bernoulli(trial(i), table)
+            sim = [f"{res.normalized_loss_mean:.6g}", f"{res.standard_error:.6g}"]
+        lines.append(",".join([*(f"{x:.6g}" for x in astuple(row)), *sim]))
+    text = "\n".join(lines) + "\n"
+    atomic_write(Path(cfg["out"]), lambda tmp: tmp.write_text(text))
+    print(f"{cfg['out']}: {len(rows)} rows, strategy frozen at d={freeze_d:.4g}")
 
 
 def build_parser() -> argparse.ArgumentParser:

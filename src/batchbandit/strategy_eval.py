@@ -104,8 +104,8 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     u = grid.points
     w = np.array(gaps, dtype=float)
     with np.errstate(over="ignore"):  # SymmetricPrior's rule: 2*w^2 finite
-        if not (np.isfinite(2.0 * w * w) & (w > 0.0)).all():
-            raise ConfigurationError("gaps must be positive and finite, with 2*w^2 finite")
+        if w.ndim != 1 or not (np.isfinite(2.0 * w * w) & (w > 0.0)).all():
+            raise ConfigurationError("gaps must be 1-D, each positive and finite, 2*w^2 finite")
     # exp(-2*u*w), factored out of every diagonal, clipped as the loss
     # profile clips its exponent: finite at every gap
     e_u = np.exp(np.minimum(np.multiply.outer(u, -2.0 * w), EXP_CLIP))

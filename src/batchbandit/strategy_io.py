@@ -37,6 +37,12 @@ def _read_json(path: Path, what: str, error=ConfigurationError):
         raise error(f"{path}: unreadable {what} file: {type(exc).__name__}: {exc}") from None
 
 
+def _json_number(value, integer: bool = False) -> bool:
+    """Whether value is a JSON number as json.loads returns one: an int (or,
+    unless integer, a float), never a bool."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def atomic_write(path: Path, write_fn) -> None:
     """write_fn(tmp) fills a temp file next to path, which then replaces path;
     a path that cannot be written is a ConfigurationError naming it."""
@@ -101,7 +107,7 @@ def _load_meta(meta_path: Path) -> tuple[float, int, UGrid]:
     values = {"n_points": 0, **spec, **{k: meta.get(k) for k in ("epsilon", "n_packets")}}
     for key in ("epsilon", "n_packets", "u_max", "du", "n_points"):  # n_points is optional
         integer, value = key.startswith("n_"), values.get(key)
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        if not _json_number(value, integer):
             kind = "an integer" if integer else "a number"
             raise StrategyFormatError(f"{meta_path}: {key} must be {kind}, got {value!r}")
     try:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,23 @@ def test_prior_file_atom_that_is_not_a_json_number_exits_2(tmp_path, capsys, ato
     pf.write_text(json.dumps({"atoms": atoms}))
     assert main(["solve", "--epsilon", "0.5", "--prior-file", str(pf)]) == 2
     assert str(pf) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "pde", "export-strategy"])
+@pytest.mark.parametrize("d_from", ["flag", "config"])
+def test_d_together_with_a_prior_file_exits_2(tmp_path, capsys, command, d_from):
+    # the prior file's atoms would silently win over --d
+    pf = tmp_path / "prior.json"
+    pf.write_text(json.dumps({"atoms": [[0.9, 1]]}))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"d": 1.6}))
+    d = ["--d", "1.6"] if d_from == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    argv = [command, "--epsilon", "0.5", *d, "--prior-file", str(pf), "--out", str(out)]
+    assert main(argv) == 2
+    err = _one_error_line(capsys)
+    assert "--d" in err and "--prior-file" in err
+    assert not out.exists()
 
 
 HUGE = 10**400  # a JSON integer beyond float range
@@ -666,3 +686,125 @@ def test_every_parameter_resolves_alike_from_flag_and_config(tmp_path, name, par
 def test_unset_grid_takes_the_backend_default(argv, grid):
     args = cli.build_parser().parse_args(argv)
     assert cli.resolve(cli.COMMANDS[argv[0]], args)["grid"] == grid
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    # parsed only, never run: each documented invocation names real options
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("batchbandit ")]
+    parser = cli.build_parser()
+    documented = set()
+    for line in lines:
+        try:
+            documented.add(parser.parse_args(shlex.split(line, comments=True)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert documented == set(cli.COMMANDS)
+
+
+def test_worst_case(tmp_path):
+    out = tmp_path / "summary.json"
+    assert main(["worst-case", "--epsilon", "0.25", "--limit-epsilon", "0",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["epsilon"] == 0.25
+    assert doc["risk_star"] >= max(p["risk"] for p in doc["scan"])
+    assert "limit" not in doc
+    assert isinstance(doc["saddle"]["passed"], bool)
+
+
+def test_worst_case_tolerance_is_the_refine_bracket_width(tmp_path, monkeypatch):
+    calls = {}
+
+    def recorder(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] = kwargs
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("refine", "saddle_check"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    argv = ["worst-case", "--epsilon", "0.25", "--tolerance", "0.5", "--limit-epsilon", "0",
+            "--out", str(tmp_path / "summary.json")]
+    assert main(argv) == 0
+    # a bracket width in d, not the saddle check's loss slack in risk units
+    assert calls == {"refine": {"tolerance": 0.5}, "saddle_check": {}}
+
+
+def test_loss_curves(tmp_path):
+    out = tmp_path / "curves.csv"
+    argv = ["loss-curves", "--epsilon", "0.25", "--m", "100", "--d-min", "0.5", "--d-max", "1.0",
+            "--step", "0.5", "--reps", "200", "--sim-every", "1", "--out", str(out)]
+    assert main(argv) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.endswith("sim_mean,sim_se")
+    assert [float(r.split(",")[0]) for r in rows] == [0.5, 1.0]
+    for row in rows:
+        d, bayes, frozen, bayes_ni, frozen_ni, sim_mean, sim_se = map(float, row.split(","))
+        assert frozen >= bayes - 1e-5
+        assert sim_se > 0.0 and abs(sim_mean - frozen) < 5.0 * sim_se + 1e-3
+
+
+@pytest.mark.parametrize(
+    "freeze, sha256",
+    [
+        ([], "a83ca8fafa390f3b40ee780497bd84045ec45f6b8bffa26d26a5338b4fac7f15"),
+        (["--freeze-d", "0.5"],
+         "faa5366dd73b30e356bae0aecf1dbb6f3354369a7cb43f7ad47bd1fd8c2fe4b6"),
+    ],
+    ids=["scanned-freeze", "given-freeze"],
+)
+def test_loss_curves_bytes_are_pinned(tmp_path, freeze, sha256):
+    # ten packets: unlike four, the frozen columns differ with the freeze gap
+    out = tmp_path / "curves.csv"
+    argv = ["--epsilon", "0.1", "--m", "100", "--d-min", "0.5", "--d-max", "3",
+            "--step", "1.25", "--reps", "200", "--sim-every", "1", "--out", str(out), *freeze]
+    assert main(["loss-curves", *argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_loss_curves_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "curves.csv"
+    # from d = 3 on the arm probabilities leave (0, 1): refused before any solve,
+    # which here would fail as an internal error (exit 1)
+    monkeypatch.setattr(cli, "risk_curve", None)
+    monkeypatch.setattr(cli, "scan", None)
+    argv = ["--epsilon", "0.25", "--m", "2", "--d-min", "0.5", "--d-max", "4",
+            "--step", "0.5", "--sim-every", "1", "--freeze-d", "1.0", "--reps", "50",
+            "--out", str(out)]
+    assert main(["loss-curves", *argv]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: arm probability") and err.count("\n") == 1
+    for step in ("0", "-0.5"):  # a d range that never reaches --d-max
+        assert main(["loss-curves", *argv[:9], step, *argv[10:]]) == 2
+        assert capsys.readouterr().err.startswith("error: step must be positive")
+        assert not out.exists()
+
+
+def test_loss_curves_refuses_a_negative_sim_every(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "curves.csv"
+    monkeypatch.setattr(cli, "risk_curve", None)  # refused before anything is solved
+    monkeypatch.setattr(cli, "scan", None)
+    argv = ["loss-curves", "--epsilon", "0.25", "--d-min", "0.5", "--d-max", "1.0",
+            "--sim-every", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sim-every must be nonnegative") and err.count("\n") == 1
+
+
+def test_worst_case_bad_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    assert main(["worst-case", "--epsilon", "0.3", "--limit-epsilon", "0",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1/epsilon must be an integer") and err.count("\n") == 1

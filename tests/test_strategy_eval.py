@@ -237,6 +237,13 @@ def test_forward_sweep_refuses_a_gap_that_is_not_positive_and_finite(gap):
         frozen_losses(steady(1, 0.5, UGrid(1.0, 0.5)), [1.0, gap])
 
 
+@pytest.mark.parametrize("gaps", [1.0, [[1.0, 2.0]]], ids=["scalar", "nested-list"])
+def test_forward_sweep_refuses_gaps_that_are_not_a_1d_sequence(gaps):
+    # ten packets: the sweep reaches its per-diagonal weighing
+    with pytest.raises(ConfigurationError, match="1-D"):
+        frozen_losses(steady(1, 0.1, UGrid(1.0, 0.5)), gaps)
+
+
 @pytest.mark.parametrize(
     "priors",
     [
