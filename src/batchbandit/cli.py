@@ -284,6 +284,9 @@ def _cmd_worst_case(cfg: dict) -> dict:
     scheme at limit_epsilon, both maxima, the batching penalty ratio and a
     frozen-strategy saddle check; about half a minute at the defaults."""
     t0 = time.perf_counter()
+    if cfg["limit_epsilon"]:  # the limit scan's first config, refused before any dp solve
+        d_min = d_range(cfg["d_min"], cfg["d_max"], cfg["step"])[0]
+        PdeConfig(cfg["limit_epsilon"], SymmetricPrior.two_point(d_min), backend_grid("pde"))
 
     def worst(backend: str, epsilon: float):
         curve = scan(cfg["d_min"], cfg["d_max"], cfg["step"], backend=backend, epsilon=epsilon)

@@ -18,13 +18,20 @@ Convolutions use discrete Gaussian weights at grid offsets (no interpolation)
 with Dirichlet-0 reads beyond +-u_max.
 
 backward_sweep is the one implementation of that walk, with one callback
-per diagonal, step(K, succ, half).  gaussian_step convolves for
-solve_invariant, which takes the argmin and records it as the StrategyTable's
-arm-1 mask, and for strategy_eval.evaluate, which plays the arm a fixed
-table picks; pde.solve_pde steps a 3-tap stencil on half the rows.
-gaussian_step and strategy_eval.frozen_losses take each diagonal's
-transition kernels from _LatticeKernels, which holds one lattice's kernels
-while sweeps on it follow one another.
+per diagonal, step(K, succ, half).  The recursion is arm-swap symmetric,
+r(u, k1, k2) = r(-u, k2, k1), so a sweep that returns only values needs the
+rows k1 <= K/2 alone.  half_step keeps that contract, with the one mirrored
+row an odd diagonal hands on; min_step, solve_invariant's step when it keeps
+no table, and pde.solve_pde's 3-tap stencil both go through it, at half the
+work of a full diagonal.  gaussian_step steps every row, for the sweeps that
+decide per state: solve_invariant with a table, which records the argmin as
+the StrategyTable's arm-1 mask, and strategy_eval.evaluate, which plays the
+arm a fixed table picks.  Those rows k1 > K/2 differ from the mirrors of
+the rows k1 < K/2 in the convolution's rounding, and at near-tie cells the
+table's decision follows that rounding, so the full sweep keeps them as
+computed.  gaussian_step, min_step and strategy_eval.frozen_losses take each
+diagonal's transition kernels from _LatticeKernels, which holds one
+lattice's kernels while sweeps on it follow one another.
 """
 
 from __future__ import annotations
@@ -211,42 +218,85 @@ class _LatticeKernels:
 _KERNELS = _LatticeKernels()
 
 
+def _action_values(kernels, K: int, succ, l1):
+    """The two actions' values on rows 0 .. len(l1) - 1 of diagonal K, from
+    l1 holding eps*g1 there: l1 adds the successor rows arm 1 reaches, and
+    l2, l1 mirrored in u, those arm 2 reaches.  l1 is overwritten."""
+    l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
+    for k1 in range(len(l1)):
+        l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
+        l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
+    return l1, l2
+
+
 def gaussian_step(epsilon: float, grid: UGrid, combine):
-    """backward_sweep's step for the exact recursion: both actions' rows add
-    their successor rows convolved with the transition kernels, and
-    combine(K, l1, l2) turns the two action values into the diagonal's.
-    Each call is one sweep on the lattice for _LatticeKernels."""
+    """backward_sweep's step for the exact recursion on every row of each
+    diagonal: both actions' rows add their successor rows convolved with the
+    transition kernels, and combine(K, l1, l2) turns the two action values
+    into the diagonal's.  Each call is one sweep on the lattice for
+    _LatticeKernels."""
     lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
 
     def step(K, succ, half):
-        kernels = lattice_kernels(K)
         k1 = np.arange(K + 1)
         l1 = half[np.minimum(k1, K - k1)]
-        l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
-        for k1 in range(K + 1):
-            l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
-            l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
-        return combine(K, l1, l2)
+        return combine(K, *_action_values(lattice_kernels(K), K, succ, l1))
 
     return step
 
 
+def half_step(fill):
+    """backward_sweep's step from fill(K, succ, half, out), which writes the
+    values of the rows k1 <= K/2 of diagonal K into out.  For odd K the step
+    also returns row K//2 + 1, the one row left out that the next diagonal
+    reads, as row K//2 mirrored in u.  The rows are allocated at the size
+    the step returns."""
+
+    def step(K, succ, half):
+        H = K // 2 + 1
+        cur = np.empty((H + K % 2, succ.shape[1]))
+        fill(K, succ, half, cur[:H])
+        if K % 2:
+            cur[H] = cur[H - 1, ::-1]
+        return cur
+
+    return step
+
+
+def min_step(epsilon: float, grid: UGrid):
+    """backward_sweep's step for the exact recursion's values alone: the
+    plain minimum of the two actions on the rows k1 <= K/2 (half_step).
+    Each call is one sweep on the lattice for _LatticeKernels."""
+    lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
+
+    def fill(K, succ, half, out):
+        np.minimum(*_action_values(lattice_kernels(K), K, succ, half), out=out)
+
+    return half_step(fill)
+
+
 def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOutput:
     """Backward sweep over all anti-diagonals; returns the strategy and the
-    assembled Bayes risk.  keep_strategy=False drops the action table for
-    memory-lean risk sweeps.
+    assembled Bayes risk.
+
+    keep_strategy=False drops the action table and steps only the rows
+    k1 <= K/2 of each diagonal (min_step), half the convolutions; its risk
+    agrees with the table-keeping sweep's to rounding.  With the table every
+    row is stepped: the rows k1 > K/2 round differently from the mirrors of
+    the rows k1 < K/2, and the table's near-tie cells follow the rows as
+    computed, value ties resolved to arm 1.
     """
     grid, prior, eps = config.grid, config.prior, config.epsilon
-    strategy = None
-    if keep_strategy:
-        shape = (_first_row(config.n_packets), grid.n_points)
-        _check_memory(math.prod(shape), "the action table")
-        strategy = StrategyTable(epsilon=eps, grid=grid, arm1=np.zeros(shape, dtype=bool))
+    if not keep_strategy:
+        total, no_initial = backward_sweep(eps, grid, prior, min_step(eps, grid))
+        return SolveOutput(strategy=None, bayes_risk=total, bayes_risk_no_initial=no_initial)
+    shape = (_first_row(config.n_packets), grid.n_points)
+    _check_memory(math.prod(shape), "the action table")
+    strategy = StrategyTable(epsilon=eps, grid=grid, arm1=np.zeros(shape, dtype=bool))
 
     def argmin(K, l1, l2):
         take1 = l1 <= l2  # value ties resolve to action 1
-        if strategy is not None:
-            strategy.diagonal(K)[:] = take1
+        strategy.diagonal(K)[:] = take1
         return np.where(take1, l1, l2)
 
     total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, argmin))

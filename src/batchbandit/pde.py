@@ -17,10 +17,11 @@ The step computes only the H = K//2 + 1 rows k1 <= K/2 of each diagonal and
 mirrors the rest by arm-swap symmetry, r(u, k1, k2) = r(-u, k2, k1), exact
 for the scheme: the u-grid is symmetric about 0, and tau = t1*t2/t, hence
 the one-step loss, and c_l are symmetric in (t1, t2).  Both actions share
-one second difference of the successor rows 0 .. H; for odd K the step also
-returns row H, the one mirrored row the next diagonal reads.  A full-lattice
-march differs from the mirrors only in the Laplacian's rounding, at the
-last bit.
+one second difference of the successor rows 0 .. H.  dp.half_step, which
+the exact solver's value-only sweep also uses, allocates the rows and, for
+odd K, returns row H, the one mirrored row the next diagonal reads.  A
+full-lattice march differs from the mirrors only in the Laplacian's
+rounding, at the last bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
-from .dp import backward_sweep
+from .dp import backward_sweep, half_step
 
 
 # the scheme's default grid, (u_max, du) as given (UGrid snaps u_max to 2.304):
@@ -73,8 +74,8 @@ def solve_pde(config: PdeConfig) -> PdeSolution:
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
 
-    def step(K, succ, half):
-        H = K // 2 + 1
+    def fill(K, succ, half, out):
+        H = len(out)
         t = K * eps
         tj = np.arange(K + 1) * eps  # c_l of a j-batch opposite arm: j = K - k1 (arm 1), k1
         c = ((eps * inv_du2) * (tj * tj / (2.0 * t * (t + eps))))[:, None]
@@ -82,17 +83,13 @@ def solve_pde(config: PdeConfig) -> PdeSolution:
         d2 = x[:, 1:-1] * -2.0  # rounded as (x[i-1] - 2 x[i]) + x[i+1]
         d2 += x[:, :-2]
         d2 += x[:, 2:]
-        cur = np.empty((H + K % 2, x.shape[1]))
-        r2 = np.add(half[:, ::-1], x[:H], out=cur[:H])  # sign flip in u swaps the actions
+        r2 = np.add(half[:, ::-1], x[:H], out=out)  # sign flip in u swaps the actions
         lap = d2[:H] * c[:H]
         r2[:, 1:-1] += lap
         half += x[1:]
         half[:, 1:-1] += np.multiply(d2[1:], c[K : K - H : -1], out=lap)
         np.minimum(half, r2, out=r2)
         r2[:, [0, -1]] = 0.0
-        if K % 2:
-            cur[H] = cur[K - H, ::-1]
-        return cur
 
-    total, no_initial = backward_sweep(eps, grid, prior, step)
+    total, no_initial = backward_sweep(eps, grid, prior, half_step(fill))
     return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial)

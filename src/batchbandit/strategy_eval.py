@@ -1,7 +1,7 @@
 """Expected loss of a fixed strategy on the invariant scale.
 
-evaluate is the solver's backward sweep (dp.backward_sweep through the same
-dp.gaussian_step), but instead of the argmin each slice plays the arm the
+evaluate is the table-keeping solver's backward sweep (dp.backward_sweep
+through the same dp.gaussian_step), but instead of the argmin each slice plays the arm the
 strategy's table picks.  That is the same selection the argmin makes, so
 evaluating the solver's own table reproduces its Bayes risk bit for bit.
 

@@ -62,9 +62,9 @@ def oracle_value(atoms, eps, u_max, n_packets, k1, k2, u):
 ORACLE_GRID = UGrid(4.0, 0.01)
 
 
-def swept_rows(solve, config):
-    """Run solve(config), solve_invariant or solve_pde, recording the value
-    rows its backward sweep computes; returns (out, rows), rows mapping
+def swept_rows(solve, config, **kwargs):
+    """Run solve(config, **kwargs), solve_invariant or solve_pde, recording
+    the value rows its backward sweep computes; returns (out, rows), rows mapping
     (k1, k2) to the row over the u-grid for every diagonal 2 .. n_packets.
 
     For this one call the solver module's backward_sweep is wrapped so that
@@ -95,7 +95,7 @@ def swept_rows(solve, config):
 
     module.backward_sweep = recording_sweep
     try:
-        out = solve(config)
+        out = solve(config, **kwargs)
     finally:
         module.backward_sweep = sweep
     if P == 2:

@@ -54,8 +54,10 @@ def test_the_tracer_reads_the_arguments_of_every_call_it_describes():
     # the work counts are computed through core.transition_variance and gaussian_kernel
     metrics, _ = tracing.pass_metrics(tracer.spans, 0, 0)
     assert metrics["core.convolve.computed_macs"] > 0
-    # the benchmark pins these call counts: two convolutions per dp and evaluate
-    # row, one loss profile per diagonal of each of the three sweeps
+    # the benchmark pins these call counts: two convolutions per row of the
+    # table-keeping dp solve and of evaluate (a solve that keeps no table
+    # steps only the rows k1 <= K/2), one loss profile per diagonal of each of
+    # the three sweeps
     rows = sum(K + 1 for K in range(2, 10))  # eps = 0.1: diagonals K = 9 .. 2
     assert metrics["dp.rows"] == rows
     assert metrics["core.convolve.calls"] == 2 * (rows + rows)

@@ -808,3 +808,26 @@ def test_worst_case_bad_config_exits_2(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: 1/epsilon must be an integer") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        ("0.3", "1/epsilon must be an integer, got 1/0.3"),
+        ("0.01", "explicit scheme is unstable: eps=0.01"),  # 0.01 > du^2 on the pde grid
+        ("-0.001", "epsilon must lie in (0, 0.5], got -0.001"),
+    ],
+)
+def test_worst_case_refuses_a_bad_limit_epsilon_before_any_solve(
+    tmp_path, monkeypatch, capsys, limit, message
+):
+    solves = []
+    real = search.solve_invariant
+    monkeypatch.setattr(
+        search, "solve_invariant", lambda *a, **k: solves.append(a) or real(*a, **k)
+    )
+    out = tmp_path / "summary.json"
+    argv = ["worst-case", "--epsilon", "0.02", "--limit-epsilon", limit, "--out", str(out)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys).startswith(f"error: {message}")
+    assert solves == [] and not out.exists()

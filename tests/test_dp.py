@@ -105,6 +105,39 @@ def test_arm_swap_symmetry_of_values():
         np.testing.assert_allclose(row, mirrored[::-1], rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "eps, prior",
+    [(1.0 / P, SymmetricPrior.two_point(1.6)) for P in (2, 3, 4, 5, 10, 50)]
+    + [(0.1, SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))), (0.02, SymmetricPrior.two_point(8.0))],
+    ids=["P2", "P3", "P4", "P5", "P10", "P50", "P10-two-atom", "P50-gap8"],
+)
+def test_value_only_sweep_rows_match_the_table_keeping_sweep(eps, prior):
+    # the value-only sweep steps the rows k1 <= K/2 and mirrors the rest; the
+    # table-keeping sweep steps every row, so the two agree to rounding
+    cfg = DpConfig(eps, prior)
+    full, want = swept_rows(solve_invariant, cfg)
+    half, got = swept_rows(solve_invariant, cfg, keep_strategy=False)
+    assert half.strategy is None and got.keys() == want.keys()
+    for state, row in want.items():
+        assert np.all(np.abs(got[state] - row) <= 1e-14 * np.maximum(1.0, np.abs(row))), state
+    assert abs(half.bayes_risk - full.bayes_risk) <= 1e-15
+    assert abs(half.bayes_risk_no_initial - full.bayes_risk_no_initial) <= 1e-15
+
+
+@pytest.mark.parametrize("keep_strategy, calls", [(False, 1296), (True, 2544)])
+def test_convolutions_per_sweep(monkeypatch, keep_strategy, calls):
+    # two per row of each interior diagonal K = 2 .. 49 with a table, two per
+    # row k1 <= K/2 without one
+    rows = [K + 1 if keep_strategy else K // 2 + 1 for K in range(2, 50)]
+    assert 2 * sum(rows) == calls
+    counted = []
+    real = dp.convolve_zero_padded
+    monkeypatch.setattr(dp, "convolve_zero_padded", lambda *a: counted.append(1) or real(*a))
+    cfg = DpConfig(0.02, SymmetricPrior.two_point(1.6), UGrid(2.0, 0.05))
+    solve_invariant(cfg, keep_strategy=keep_strategy)
+    assert len(counted) == calls
+
+
 def test_tie_break_and_sign_convention():
     # 3 batches: the two penultimate slices coincide row-for-row, so the
     # value comparison at (1, 1, u=0) is an exact tie and must resolve to 1
