@@ -25,8 +25,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # saddle_check fails only exceedances up to this gap; beyond it the forced
 # initial stage, 2*eps*d, dominates any strategy's loss
 SADDLE_CUTOFF = 16.0
-# saddle_check's slack in risk units: the frozen losses within the cutoff may
-# exceed risk_star, and the loss at d_star may miss it, by this much
+# saddle_check's slack: frozen losses within the cutoff may exceed risk_star by this much
 SADDLE_TOLERANCE = 0.01
 # the forward sweep's saddle_check loss at d_star may differ from the
 # backward sweep's by rounding only
@@ -77,13 +76,14 @@ class ScanCurve:
 
 def d_range(d_min: float, d_max: float, step: float) -> list[float]:
     """Gaps d_min, d_min + step, ... up to d_max, with d_max appended when the
-    step does not reach it exactly.  A step of at most half an ulp of the top
-    gap would leave some gap unchanged and the range unending: it is refused,
-    as is a range of more than MAX_GAPS gaps, before any is built."""
+    step does not reach it exactly.  Refused before any gap is built: a step
+    of at most half an ulp of the top gap (some gap would never move), more
+    than MAX_GAPS gaps, and a d_max SymmetricPrior refuses (no gap exceeds it)."""
     d_min, d_max = as_float(d_min, "d_min"), as_float(d_max, "d_max")
     step = as_float(step, "step")
     if not (0.0 < d_min <= d_max):
         raise ConfigurationError(f"need 0 < d_min <= d_max, got [{d_min}, {d_max}]")
+    SymmetricPrior.two_point(d_max)
     top = d_max + 1e-12
     if d_min < d_max and not (step > 0.0 and 2.0 * step > math.ulp(top)):
         raise ConfigurationError(
@@ -125,14 +125,19 @@ class RefineResult:
     evaluations: int
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Refuse a refinement width in d that is not positive, NaN included."""
+    if not tolerance > 0.0:
+        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+
+
 def golden_section_max(fn, a: float, b: float, tolerance: float):
     """Golden-section maximization on [a, b]; returns the best point actually
     evaluated, its value and the evaluation count.  It also stops once the
     probes reach the bracket's float resolution."""
     if not (a < b):
         raise ConfigurationError(f"need a < b, got [{a}, {b}]")
-    if not tolerance > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+    check_tolerance(tolerance)
     best_x, best_y = None, -math.inf
     evals = 0
 
@@ -168,8 +173,7 @@ def refine(curve: ScanCurve, tolerance: float = 0.01) -> RefineResult:
     """
     if not curve.points:
         raise ConfigurationError("cannot refine an empty curve")
-    if not tolerance > 0.0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+    check_tolerance(tolerance)
     i = curve.best_index()
     top = curve.points[i]
     if i == 0 or i == len(curve.points) - 1:
@@ -193,11 +197,10 @@ class SaddleRow:
 class SaddleReport:
     """Frozen-strategy losses across priors, against the candidate saddle value.
 
-    passed means: within the cutoff (SADDLE_CUTOFF) no loss exceeds
-    risk_star + tolerance and the loss at d_star matches risk_star within the
-    tolerance (SADDLE_TOLERANCE).  Exceedances beyond the cutoff are listed,
-    not failed; their loss_no_initial column shows how much of the excess the
-    forced initial stage contributes.
+    passed means max_within_cutoff, the largest loss within the cutoff
+    (SADDLE_CUTOFF), is at most risk_star + tolerance (SADDLE_TOLERANCE).
+    Exceedances beyond the cutoff are listed, not failed; their loss_no_initial
+    column shows how much of the excess the forced initial stage contributes.
 
     passed also bounds the multi-atom priors.  The frozen strategy's loss
     under a symmetric prior with atoms (w_i, pi_i) is the linear combination
@@ -216,7 +219,6 @@ class SaddleReport:
     tolerance: float
     rows: tuple[SaddleRow, ...]
     max_within_cutoff: float
-    equality_gap: float
     passed: bool
     exceedances: tuple[SaddleRow, ...]
 
@@ -245,7 +247,8 @@ def saddle_check(
         d_values = np.concatenate([np.arange(0.4, SADDLE_CUTOFF + 1e-9, 0.4), [18.0, 20.0]])
     ds = sorted(set(float(d) for d in d_values) | {float(d_star)})
     priors = [SymmetricPrior.two_point(d) for d in ds]  # refuses d <= 0, nan and inf
-    if not any(d <= SADDLE_CUTOFF + 1e-9 for d in ds):
+    within = [d <= SADDLE_CUTOFF + 1e-9 for d in ds]
+    if not any(within):
         raise ConfigurationError(
             f"no gap lies within the saddle cutoff {SADDLE_CUTOFF}: d_star = {d_star}, "
             f"smallest d = {ds[0]}"
@@ -268,13 +271,9 @@ def saddle_check(
         SaddleRow(d=d, loss=total, loss_no_initial=no_init)
         for d, total, no_init in zip(ds, loss.tolist(), loss_no_initial.tolist())
     ]
-    within = [r for r in rows if r.d <= SADDLE_CUTOFF + 1e-9]
-    max_within = max(r.loss for r in within)
-    at_star = rows[star]
-    equality_gap = abs(at_star.loss - risk_star)
+    max_within = max(r.loss for r, inside in zip(rows, within) if inside)
     bound = risk_star + SADDLE_TOLERANCE
-    passed = max_within <= bound and equality_gap <= SADDLE_TOLERANCE
-    exceedances = tuple(r for r in rows if r.d > SADDLE_CUTOFF + 1e-9 and r.loss > bound)
+    exceedances = tuple(r for r, inside in zip(rows, within) if not inside and r.loss > bound)
     return SaddleReport(
         d_star=float(d_star),
         risk_star=risk_star,
@@ -282,8 +281,7 @@ def saddle_check(
         tolerance=SADDLE_TOLERANCE,
         rows=tuple(rows),
         max_within_cutoff=max_within,
-        equality_gap=equality_gap,
-        passed=passed,
+        passed=max_within <= bound,
         exceedances=exceedances,
     )
 

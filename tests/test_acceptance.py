@@ -110,12 +110,14 @@ def test_c05_frozen_strategy_saddle_property(dp_worst):
     report = saddle_check(dp_worst["d_star"], EPS)
     assert report.passed
     assert report.max_within_cutoff <= 0.65 + 0.01
-    assert report.equality_gap <= 0.01
+    # the frozen strategy's loss at d_star is the solver's Bayes risk, exactly
+    at_star = next(r for r in report.rows if r.d == report.d_star)
+    assert at_star.loss == report.risk_star
     far = next(r for r in report.rows if r.d == 20.0)
     assert far.loss > 0.66
     print(
         f"criterion 5 PASS: loss <= {report.max_within_cutoff:.6f} up to d=16, "
-        f"equality gap {report.equality_gap:.2e}, loss(20)={far.loss:.4f}"
+        f"loss(d*) = risk* = {at_star.loss:.6f}, loss(20)={far.loss:.4f}"
     )
 
 

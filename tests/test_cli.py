@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -607,6 +610,35 @@ def test_search_non_positive_tolerance_exits_2(capsys, argv):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--epsilon", "0.004", "--tolerance", "0"], "tolerance must be positive"),
+        (["search", "--backend", "pde", "--epsilon", "0.001", "--tolerance", "0"],
+         "tolerance must be positive"),
+        (["worst-case", "--tolerance", "0"], "tolerance must be positive"),
+        (["search", "--epsilon", "0.02", "--d-max", "1e154", "--step", "1e153"],
+         "atom position 1e+154 is too large"),
+        (["loss-curves", "--d-max", "1e154", "--step", "1e153", "--sim-every", "0",
+          "--out", "unused.csv"], "atom position 1e+154 is too large"),
+    ],
+    ids=["search-dp", "search-pde", "worst-case", "search-top-gap", "loss-curves-top-gap"],
+)
+def test_bad_tolerance_or_top_gap_is_refused_before_any_solve(monkeypatch, capsys, argv, message):
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solved before refusing")
+
+    for module, name in [(search, "solve_invariant"), (search, "solve_pde"),
+                         (strategy_eval, "solve_invariant")]:
+        monkeypatch.setattr(module, name, spy)
+    assert main(argv) == 2
+    assert _one_error_line(capsys).startswith(f"error: {message}")
+    assert solves == []
+
+
 def test_search_fills_a_half_given_grid_from_the_backend_default(capsys):
     doc = run_json(capsys, ["search", "--epsilon", "0.25", "--d-min", "1.0", "--d-max", "1.0",
                             "--du", "0.05"])
@@ -715,6 +747,7 @@ def test_worst_case(tmp_path):
     assert doc["risk_star"] >= max(p["risk"] for p in doc["scan"])
     assert "limit" not in doc
     assert isinstance(doc["saddle"]["passed"], bool)
+    assert list(doc["saddle"]) == ["passed", "max_loss_within_cutoff", "cutoff", "exceedances"]
 
 
 def test_worst_case_tolerance_is_the_refine_bracket_width(tmp_path, monkeypatch):
@@ -831,3 +864,18 @@ def test_worst_case_refuses_a_bad_limit_epsilon_before_any_solve(
     assert main(argv) == 2
     assert _one_error_line(capsys).startswith(f"error: {message}")
     assert solves == [] and not out.exists()
+
+
+def test_python_m_batchbandit_runs_the_cli():
+    src = str(Path(cli.__file__).parents[1])  # the package's own tree, not an installed copy
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "batchbandit", *argv],
+                              capture_output=True, text=True, env=env)
+
+    help_ = run("--help")
+    assert help_.returncode == 0 and "worst-case" in help_.stdout
+    bare = run()
+    assert bare.returncode == 2 and bare.stderr.startswith("usage: batchbandit")
