@@ -1,13 +1,12 @@
 """Command-line surface.
 
 Each parameter is one Param record, shared by every subcommand that takes
-it; the parser, the legal --config keys, the config-file type check and the
-resolved values all come from there.  A value comes from its flag, else the
-flat JSON --config file (unknown keys and wrong types are rejected), else
-the declared default; an unset --u-max or --du takes the backend's library
-default (UGrid's for dp, PdeConfig's for pde).  Output floats carry six
-significant digits, except in worst-case's summary, which prints them at
-full precision; files are written after the computation finishes
+it, and argparse is the one place that decides its value: the flag, else
+the declared default, with the declared type and choices, and a missing
+required flag exits 2.  An unset --u-max or --du takes the backend's
+library default (UGrid's for dp, PdeConfig's for pde).  Output floats
+carry six significant digits, except in worst-case's summary, which prints
+them at full precision; files are written after the computation finishes
 (temp file + rename), so failures leave nothing behind.  Exit codes: 0
 success, 2 invalid configuration, an unreadable input or unwritable
 output file (ConfigurationError), 1 anything else: a numerical failure or
@@ -38,7 +37,7 @@ from .strategy_io import _json_number, _read_json, atomic_write, load_strategy, 
 @dataclass(frozen=True)
 class Param:
     """One parameter of a subcommand: the flag --name (dashes for
-    underscores) and the config key name, both resolving to one value."""
+    underscores) and what build_parser hands argparse for it."""
 
     name: str
     type: type = str
@@ -46,11 +45,6 @@ class Param:
     help: str | None = None
     choices: tuple | None = None
     required: bool = False
-
-    def accepts(self, value) -> bool:
-        """Whether a config-file value fits; JSON ints pass as floats, bools never."""
-        ok = isinstance(value, str) if self.type is str else _json_number(value, self.type is int)
-        return ok and (self.choices is None or value in self.choices)
 
 
 @dataclass(frozen=True)
@@ -99,33 +93,9 @@ _TRIAL = (
 
 
 def resolve(command: Command, args: argparse.Namespace) -> dict:
-    """Each parameter from its flag, else the --config file, else its
-    declared default; u_max and du become one UGrid under "grid"."""
-    file_cfg = {}
-    if args.config:
-        path = Path(args.config)
-        file_cfg = _read_json(path, "config")
-        if not isinstance(file_cfg, dict):
-            raise ConfigurationError(f"{path}: config must be a JSON object")
-        declared = {p.name: p for p in command.params}
-        unknown = sorted(set(file_cfg) - set(declared))
-        if unknown:
-            raise ConfigurationError(f"{path}: unknown config keys: {unknown}")
-        for key, value in file_cfg.items():  # null counts as not given
-            p = declared[key]
-            if value is not None and not p.accepts(value):
-                raise ConfigurationError(
-                    f"{path}: {key} must be a valid {p.type.__name__}, got {value!r}"
-                )
-    cfg = {}
-    for p in command.params:
-        value = getattr(args, p.name)
-        if value is None:
-            value = file_cfg.get(p.name)
-        cfg[p.name] = p.default if value is None else value
-    missing = [p.name for p in command.params if p.required and cfg[p.name] is None]
-    if missing:
-        raise ConfigurationError(f"missing required parameter(s): {missing}")
+    """The parsed value of each parameter by name; u_max and du become one
+    UGrid under "grid"."""
+    cfg = {p.name: getattr(args, p.name) for p in command.params}
     if "du" in cfg:
         backend = cfg.get("backend", command.backend)
         cfg["grid"] = backend_grid(backend, cfg.pop("u_max"), cfg.pop("du"))
@@ -334,9 +304,11 @@ def _cmd_loss_curves(cfg: dict) -> None:
         return BatchTrialConfig(n_items, cfg["m"], cfg["p"], ds[i], cfg["reps"], cfg["seed"] + i)
 
     if every:
-        # the arm probabilities p +- delta spread with d: the largest simulated
-        # d fails first, so check it before anything is solved
-        trial((len(ds) - 1) // every * every)
+        # the seed grows with the row and the arm probabilities p +- delta
+        # spread with d: the first and the last simulated rows fail first, so
+        # check both before anything is solved
+        for i in (0, (len(ds) - 1) // every * every):
+            trial(i)
     freeze_d = cfg["freeze_d"]
     if freeze_d is None:
         window = (p.default for p in _WINDOW[:3])
@@ -362,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", help="flat JSON file with parameters; flags override")
         for param in command.params:
-            flag = "--" + param.name.replace("_", "-")
-            p.add_argument(flag, type=param.type, choices=param.choices, help=param.help)
+            p.add_argument("--" + param.name.replace("_", "-"), type=param.type,
+                           default=param.default, choices=param.choices,
+                           required=param.required, help=param.help)
     return parser
 
 

@@ -69,6 +69,8 @@ class BatchTrialConfig:
                 f"n_items={self.n_items} must be a positive multiple of "
                 f"batch_size={self.batch_size}"
             )
+        if self.batch_size > np.iinfo(np.int64).max:  # numpy draws int64 binomial counts
+            raise ConfigurationError(f"batch_size={self.batch_size} is beyond int64 range")
         _check_trial(self.n_packets, self.d, self.replications, self.seed, self.orientation)
         as_float(self.n_items, "n_items")  # delta divides by it as a float
         if not (0.0 < self.p < 1.0):

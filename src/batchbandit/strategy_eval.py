@@ -91,7 +91,7 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     from one forward sweep of the state density: two arrays, the loss with
     the forced initial stage (2*eps*w) and without it.  Each entry agrees
     with evaluate at that gap to rounding, relative to max(1, loss), at any
-    gap SymmetricPrior accepts.
+    gap SymmetricPrior allows.
 
     On diagonal K the density of row k1 splits by the table's arm: the arm-1
     part moves to row k1 + 1 of diagonal K + 1 through kernel K - k1, the

@@ -4,7 +4,7 @@ A table is a CSV `k1,k2,u_index,action` (action: the arm played, 1 or 2)
 plus a JSON sidecar <name>.meta.json: epsilon, the grid, the prior, the
 tie-break rule and a format version.  Format v1 is the header, then
 `_encoder`'s lines for each decision state in `_states` order.  The loader
-decodes each state's actions and encodes them again, so it accepts exactly
+decodes each state's actions and encodes them again, so it loads exactly
 the writer's bytes and names the first line that differs.  Writes are atomic.
 """
 
@@ -28,8 +28,8 @@ class StrategyFormatError(ConfigurationError):
 
 
 def _read_json(path: Path, what: str, error=ConfigurationError):
-    """The JSON document in the file at path, for every JSON input: the sidecar
-    and the CLI's --config and --prior-file.  A file that cannot be opened,
+    """The JSON document in the file at path, for both JSON inputs: the
+    sidecar and the CLI's --prior-file.  A file that cannot be opened,
     decoded or parsed raises error naming it."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))

@@ -1,4 +1,4 @@
-"""CLI subcommands: summaries, file outputs, exit codes, config layering."""
+"""CLI subcommands: summaries, file outputs, exit codes, flag parsing."""
 
 import hashlib
 import json
@@ -15,7 +15,7 @@ import pytest
 
 from batchbandit import cli, search, simulate, strategy_eval
 from batchbandit.cli import main
-from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid
+from batchbandit.core import SymmetricPrior, UGrid
 from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.simulate import BatchTrialConfig, simulate_bernoulli, simulate_gaussian
 from batchbandit.strategy_io import load_strategy
@@ -32,6 +32,21 @@ def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     return err[0]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The solves run while the test runs; the first one fails it."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        raise AssertionError("solved before refusing")
+
+    for module, name in [(search, "solve_invariant"), (search, "solve_pde"),
+                         (strategy_eval, "solve_invariant")]:
+        monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 def test_solve_pure_initial_closed_form(capsys):
@@ -155,42 +170,29 @@ def test_prior_file_atom_that_is_not_a_json_number_exits_2(tmp_path, capsys, ato
 
 
 @pytest.mark.parametrize("command", ["solve", "pde", "export-strategy"])
-@pytest.mark.parametrize("d_from", ["flag", "config"])
-def test_d_together_with_a_prior_file_exits_2(tmp_path, capsys, command, d_from):
+def test_d_together_with_a_prior_file_exits_2(tmp_path, capsys, command):
     # the prior file's atoms would silently win over --d
     pf = tmp_path / "prior.json"
     pf.write_text(json.dumps({"atoms": [[0.9, 1]]}))
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"d": 1.6}))
-    d = ["--d", "1.6"] if d_from == "flag" else ["--config", str(cfg)]
     out = tmp_path / "out.csv"
-    argv = [command, "--epsilon", "0.5", *d, "--prior-file", str(pf), "--out", str(out)]
+    argv = [command, "--epsilon", "0.5", "--d", "1.6", "--prior-file", str(pf), "--out", str(out)]
     assert main(argv) == 2
     err = _one_error_line(capsys)
     assert "--d" in err and "--prior-file" in err
     assert not out.exists()
 
 
-HUGE = 10**400  # a JSON integer beyond float range
+HUGE = 10**400  # an integer beyond float range, as JSON or an int flag can hold
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("solve --epsilon 0.5 --prior-file", {"atoms": [[HUGE, 1.0]]}),
-        ("solve --config", {"epsilon": 0.5, "d": HUGE}),
-        ("solve --config", {"epsilon": 0.5, "d": 1.0, "du": HUGE}),
-        ("search --epsilon 0.5 --config", {"d_max": HUGE}),
-        ("simulate --strategy STRATEGY --config", {"t": HUGE, "m": 100}),
-    ],
-    ids=["prior-file-w", "config-d", "config-du", "config-d_max", "config-t"],
-)
-def test_integer_beyond_float_range_exits_2(tmp_path, capsys, command, doc):
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
-    argv = command.split() + [str(path)]
-    if "STRATEGY" in argv:
-        argv[argv.index("STRATEGY")] = str(_export_tenth(tmp_path))
+@pytest.mark.parametrize("source", ["prior-file-w", "flag-t"])
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, source):
+    if source == "flag-t":
+        argv = ["simulate", "--strategy", str(_export_tenth(tmp_path)), "--t", str(HUGE)]
+    else:
+        pf = tmp_path / "prior.json"
+        pf.write_text(json.dumps({"atoms": [[HUGE, 1.0]]}))
+        argv = ["solve", "--epsilon", "0.5", "--prior-file", str(pf)]
     assert main(argv) == 2
     assert "beyond float range" in _one_error_line(capsys)
 
@@ -214,37 +216,6 @@ def test_gap_just_below_the_overflow_still_solves(capsys):
     for d, risk in (("2e4", 10000.0), ("9.4e153", 4.7e153)):
         doc = run_json(capsys, ["solve", "--epsilon", "0.25", "--d", d])
         assert doc["bayes_risk"] == risk
-
-
-def test_config_file_supplies_and_flags_override(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"epsilon": 0.5, "d": 2.0}))
-    doc = run_json(capsys, ["solve", "--config", str(cfg)])
-    assert doc["bayes_risk"] == 2.0
-    doc = run_json(capsys, ["solve", "--config", str(cfg), "--d", "1.0"])
-    assert doc["bayes_risk"] == 1.0
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"epsilon": 0.5, "d": 1.0, "foo": 3}))
-    rc = main(["solve", "--config", str(cfg)])
-    assert rc == 2
-    assert "foo" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, doc",
-    [
-        (["simulate", "--strategy", "unused.csv"], {"t": "x"}),
-        (["solve"], {"epsilon": "x", "d": 1.0}),
-    ],
-)
-def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, argv, doc):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(doc))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert next(iter(doc)) in capsys.readouterr().err
 
 
 def test_solve_never_builds_the_action_table(monkeypatch, capsys):
@@ -411,6 +382,15 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys, model):
     assert "seed must be nonnegative" in _one_error_line(capsys)
 
 
+def test_simulate_packet_size_beyond_int64_exits_2(tmp_path, capsys):
+    # numpy's binomial draws int64 counts; a larger packet size is refused, not an OverflowError
+    path = _export_tenth(tmp_path)
+    rc = main(["simulate", "--strategy", str(path), "--t", "20000000000000000000",
+               "--m", "10000000000000000000"])
+    assert rc == 2
+    assert "beyond int64 range" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("model", ["bernoulli", "gaussian"])
 @pytest.mark.parametrize(
     "reps, message",
@@ -463,7 +443,6 @@ def _bad_file(tmp_path, kind, content):
         bad = out = tmp_path / "missing" / "out"
     simulate = ["simulate", "--t", "1000", "--m", "100", "--reps", "10", "--strategy", str(table)]
     argv = {
-        "config": ["solve", "--config", str(bad)],
         "prior": ["solve", "--epsilon", "0.1", "--prior-file", str(bad)],
         "solve": ["solve", "--epsilon", "0.5", "--d", "1.0"],
         "export": ["export-strategy", "--epsilon", "0.5", "--d", "1.0"],
@@ -474,8 +453,7 @@ def _bad_file(tmp_path, kind, content):
 @pytest.mark.parametrize(
     "kind, content",
     [
-        ("config", "directory"), ("config", "0xff"), ("config", "deep"),
-        ("prior", "0xff"), ("prior", "deep"),
+        ("prior", "directory"), ("prior", "0xff"), ("prior", "deep"),
         ("sidecar", "directory"), ("sidecar", "0xff"), ("strategy", "directory"),
         ("solve", "missing-dir"), ("export", "missing-dir"), ("export", "sidecar-directory"),
     ],
@@ -589,12 +567,17 @@ def test_search_subcommand(capsys):
      (["simulate", "--strategy", "unused.csv"], "per_item", True),
      (["solve", "--epsilon", "0.1", "--d", "1"], "strategy_out", "s.csv")],
 )
-def test_config_file_with_a_removed_option_exits_2(tmp_path, capsys, argv, key, value):
-    # a config file written for an older release fails loudly, not silently
+def test_config_file_with_a_removed_option_exits_2(tmp_path, solves, capsys, argv, key, value):
+    # a config file written for an older release fails loudly, not silently:
+    # --config itself is gone, and argparse refuses it before anything is solved
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
-    assert main([*argv, "--config", str(cfg)]) == 2
-    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(cfg), "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -624,19 +607,27 @@ def test_search_non_positive_tolerance_exits_2(capsys, argv):
     ],
     ids=["search-dp", "search-pde", "worst-case", "search-top-gap", "loss-curves-top-gap"],
 )
-def test_bad_tolerance_or_top_gap_is_refused_before_any_solve(monkeypatch, capsys, argv, message):
-    solves = []
-
-    def spy(*args, **kwargs):
-        solves.append(args)
-        raise AssertionError("solved before refusing")
-
-    for module, name in [(search, "solve_invariant"), (search, "solve_pde"),
-                         (strategy_eval, "solve_invariant")]:
-        monkeypatch.setattr(module, name, spy)
+def test_bad_tolerance_or_top_gap_is_refused_before_any_solve(solves, capsys, argv, message):
     assert main(argv) == 2
     assert _one_error_line(capsys).startswith(f"error: {message}")
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seed", "-5", "seed must be nonnegative, got -5"),
+     ("--m", "10000000000000000000", "batch_size=10000000000000000000 is beyond int64 range")],
+    ids=["negative-seed", "m-beyond-int64"],
+)
+def test_loss_curves_refuses_a_bad_trial_before_any_solve(
+    tmp_path, solves, capsys, flag, value, message
+):
+    # at the defaults the last simulated row's seed, seed + 90, is nonnegative:
+    # the first row's trial is checked too
+    out = tmp_path / "curves.csv"
+    assert main(["loss-curves", flag, value, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {message}"
+    assert solves == [] and not out.exists()
 
 
 def test_search_fills_a_half_given_grid_from_the_backend_default(capsys):
@@ -680,24 +671,31 @@ DECLARED = [(name, p) for name, command in cli.COMMANDS.items() for p in command
 
 
 @pytest.mark.parametrize("name, param", DECLARED, ids=[f"{n}-{p.name}" for n, p in DECLARED])
-def test_every_parameter_resolves_alike_from_flag_and_config(tmp_path, name, param):
+def test_every_parameter_resolves_alike_from_flag_and_config(capsys, name, param):
+    """The resolved config (cli.resolve's cfg) holds the flag's value, or the
+    declared default where the flag is absent; a missing required flag exits 2
+    through argparse."""
     command = cli.COMMANDS[name]
     base = [tok for p in command.params if p.required and p is not param
             for tok in _flag(p, _sample(p))]
+    on_grid = param.name in ("u_max", "du")  # the two halves of cfg's one UGrid
+
+    def resolved(*argv):
+        cfg = cli.resolve(command, cli.build_parser().parse_args([name, *base, *argv]))
+        return cfg["grid"] if on_grid else cfg[param.name]
+
+    def expected(value):
+        return search.backend_grid(command.backend, **{param.name: value}) if on_grid else value
+
     value = _sample(param)
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({param.name: value}))
-
-    def resolve(*argv):
-        return cli.resolve(command, cli.build_parser().parse_args([name, *base, *argv]))
-
-    from_flag = resolve(*_flag(param, value))
-    assert resolve("--config", str(config)) == from_flag
+    assert resolved(*_flag(param, value)) == expected(value)
     if param.required:
-        with pytest.raises(ConfigurationError, match=param.name):
-            resolve()
+        with pytest.raises(SystemExit) as exit_:
+            resolved()
+        assert exit_.value.code == 2
+        assert f"required: {_flag(param, value)[0]}" in capsys.readouterr().err
     else:
-        assert resolve() != from_flag
+        assert resolved() == expected(param.default) != expected(value)
 
 
 @pytest.mark.parametrize(
@@ -724,8 +722,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_commands_parse():
-    # parsed only, never run: each documented invocation names real options
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+    # parsed only, never run: each documented invocation names real options,
+    # and so does every backticked --flag in the prose
+    text = README.read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
     lines = [line for block in blocks for line in block.splitlines()
              if line.startswith("batchbandit ")]
     parser = cli.build_parser()
@@ -736,6 +736,11 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
     assert documented == set(cli.COMMANDS)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+    spans = re.findall(r"`([^`]+)`", prose)
+    flags = {flag for span in spans for flag in re.findall(r"(?<![\w-])--[\w-]+", span)}
+    declared = {"--help"} | {"--" + p.name.replace("_", "-") for _, p in DECLARED}
+    assert flags and flags <= declared, sorted(flags - declared)
 
 
 def test_worst_case(tmp_path):
