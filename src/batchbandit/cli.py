@@ -10,7 +10,8 @@ them at full precision; files are written after the computation finishes
 (temp file + rename), so failures leave nothing behind.  Exit codes: 0
 success, 2 invalid configuration, an unreadable input or unwritable
 output file (ConfigurationError), 1 anything else: a numerical failure or
-a bug.
+a bug.  main returns the code, an argparse error's 2 and --help's 0 too,
+and raises nothing.
 """
 
 from __future__ import annotations
@@ -356,7 +357,10 @@ def exit_code(run: Callable[[], None]) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2

@@ -152,6 +152,14 @@ def packet_count(epsilon: float) -> int:
     return n
 
 
+def exp_caps(prior: SymmetricPrior) -> list[float]:
+    """The cap on each atom's loss exponent: EXP_CLIP, lowered where the
+    atom's p*w would lift its term past e**709 / n_atoms, so the sum of the
+    terms stays below the float maximum."""
+    n = len(prior.atoms)
+    return [min(EXP_CLIP, 709.0 - math.log(n * p) - math.log(w)) for w, p in prior.atoms]
+
+
 def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     """Prior-weighted one-step loss of arm 1 over a row of u values.
 
@@ -159,9 +167,8 @@ def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     t = t1 + t2.  Arm 2's loss is the same profile at -u, bitwise: the
     sign flip of u is exact.  Scalar t1, t2 give one row; equal-length
     arrays give one row per (t1, t2) pair, e.g. a whole anti-diagonal.
-    Exponents are clipped at EXP_CLIP to keep the losing branch finite for
-    extreme u*w products, and lower where an atom's p*w would lift its term
-    past e**709 / n_atoms: the sum then stays below the float maximum.
+    Each atom's exponent is capped at its exp_caps entry, which keeps the
+    losing branch finite for extreme u*w products.
     """
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
     t = t1 + t2
@@ -171,10 +178,10 @@ def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     if tau.ndim:
         tau = tau[:, None]
     u = np.asarray(u, dtype=float)
-    out, n = None, len(prior.atoms)
-    for w, p in prior.atoms:  # one temporary per atom; the first (>= 0) becomes the sum
+    out = None
+    for (w, p), clip in zip(prior.atoms, exp_caps(prior)):
+        # one temporary per atom; the first (>= 0) becomes the sum
         term = np.asarray(-2.0 * w * u - 2.0 * w * w * tau)  # scalar inputs stay 0-d
-        clip = min(EXP_CLIP, 709.0 - math.log(n * p) - math.log(w))
         np.exp(np.minimum(term, clip, out=term), out=term)
         term *= p * w
         out = term if out is None else np.add(out, term, out=out)

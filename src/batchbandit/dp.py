@@ -18,20 +18,23 @@ Convolutions use discrete Gaussian weights at grid offsets (no interpolation)
 with Dirichlet-0 reads beyond +-u_max.
 
 backward_sweep is the one implementation of that walk, with one callback
-per diagonal, step(K, succ, half).  The recursion is arm-swap symmetric,
-r(u, k1, k2) = r(-u, k2, k1), so a sweep that returns only values needs the
-rows k1 <= K/2 alone.  half_step keeps that contract, with the one mirrored
-row an odd diagonal hands on; min_step, solve_invariant's step when it keeps
-no table, and pde.solve_pde's 3-tap stencil both go through it, at half the
-work of a full diagonal.  gaussian_step steps every row, for the sweeps that
-decide per state: solve_invariant with a table, which records the argmin as
-the StrategyTable's arm-1 mask, and strategy_eval.evaluate, which plays the
-arm a fixed table picks.  Those rows k1 > K/2 differ from the mirrors of
-the rows k1 < K/2 in the convolution's rounding, and at near-tie cells the
+per diagonal, step(K, succ), which builds the diagonal's one-step losses
+itself.  The recursion is arm-swap symmetric, r(u, k1, k2) = r(-u, k2, k1),
+so a sweep that returns only values needs the rows k1 <= K/2 alone.
+half_step keeps that contract, with the one mirrored row an odd diagonal
+hands on, in two buffers that alternate by diagonal; min_step,
+solve_invariant's step when it keeps no table, and pde.solve_pde's 3-tap
+stencil both go through it, at half the work of a full diagonal.
+gaussian_step steps every row, for the sweeps that decide per state:
+solve_invariant with a table, which records the argmin as the
+StrategyTable's arm-1 mask, and strategy_eval.evaluate, which plays the arm
+a fixed table picks.  Those rows k1 > K/2 differ from the mirrors of the
+rows k1 < K/2 in the convolution's rounding, and at near-tie cells the
 table's decision follows that rounding, so the full sweep keeps them as
-computed.  gaussian_step, min_step and strategy_eval.frozen_losses take each
-diagonal's transition kernels from _LatticeKernels, which holds one
-lattice's kernels while sweeps on it follow one another.
+computed.  gaussian_step and min_step take the loss rows from
+core.loss_profile (_half_losses); they, and strategy_eval.frozen_losses,
+take each diagonal's transition kernels from _LatticeKernels, which holds
+one lattice's kernels while sweeps on it follow one another.
 """
 
 from __future__ import annotations
@@ -141,24 +144,20 @@ def backward_sweep(epsilon: float, grid: UGrid, prior: SymmetricPrior, step) -> 
     the initial stage).
 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
-    half = eps*g1 covers the rows k1 <= K/2 only: g1 depends on (t1, t2) only
-    through tau = t1*t2/t, bitwise the same on rows k1 and K - k1, and g2 is
-    g1 mirrored in u.  step(K, succ, half) may overwrite half; it returns the
-    rows of diagonal K that the next step reads, the first ones by k1 (a row
-    k1 left out is row K - k1 mirrored in u).  A grid whose sweep buffers
-    (about four (n_packets + 1) x n_u float blocks) exceed physical memory is
-    refused first.
+    step(K, succ) reads succ, the rows diagonal K + 1's step returned, and
+    returns the rows of diagonal K that the next step reads, the first ones
+    by k1 (a row k1 left out is row K - k1 mirrored in u).  It must leave
+    succ as it is, and may write the rows it returns into a buffer it
+    reuses two diagonals later.  A grid whose sweep buffers (about four
+    (n_packets + 1) x n_u float blocks) exceed physical memory is refused
+    first.
     """
     n_packets = packet_count(epsilon)
     _check_memory(4 * (n_packets + 1) * grid.n_points * 8, "the sweep")
-    u = grid.points
-    succ = np.zeros((n_packets + 1, u.size))
+    succ = np.zeros((n_packets + 1, grid.n_points))
     for K in range(n_packets - 1, 1, -1):
-        j = np.arange(K // 2 + 1)
-        half = loss_profile(prior, u, j * epsilon, (K - j) * epsilon)
-        half *= epsilon
-        succ = step(K, succ, half)
-        if np.isnan(succ).any():
+        succ = step(K, succ)
+        if math.isnan(succ.min()):  # min propagates a NaN
             raise InternalError(f"NaN in value slice at diagonal {K}")
     # after the loop succ is diagonal 2 (or the terminal one when P == 2);
     # its row 1 is the (eps, eps) slice the risk assembly needs
@@ -168,6 +167,18 @@ def backward_sweep(epsilon: float, grid: UGrid, prior: SymmetricPrior, step) -> 
     if not (math.isfinite(total) and total >= 0.0):
         raise InternalError(f"assembled risk is not a nonnegative number: {total}")
     return total, no_initial
+
+
+def _half_losses(epsilon: float, grid: UGrid, prior: SymmetricPrior, K: int) -> np.ndarray:
+    """eps*g1 on the rows k1 <= K/2 of diagonal K.  g1 depends on (t1, t2)
+    only through tau = t1*t2/t, bitwise the same on rows k1 and K - k1, and
+    g2 is g1 mirrored in u, so these rows give both actions' losses on the
+    whole diagonal.  The grid's points are built here, inside the sweep: a
+    grid too large for memory is refused by backward_sweep first."""
+    j = np.arange(K // 2 + 1)
+    half = loss_profile(prior, grid.points, j * epsilon, (K - j) * epsilon)
+    half *= epsilon
+    return half
 
 
 def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
@@ -229,7 +240,7 @@ def _action_values(kernels, K: int, succ, l1):
     return l1, l2
 
 
-def gaussian_step(epsilon: float, grid: UGrid, combine):
+def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, combine):
     """backward_sweep's step for the exact recursion on every row of each
     diagonal: both actions' rows add their successor rows convolved with the
     transition kernels, and combine(K, l1, l2) turns the two action values
@@ -237,25 +248,32 @@ def gaussian_step(epsilon: float, grid: UGrid, combine):
     _LatticeKernels."""
     lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
 
-    def step(K, succ, half):
+    def step(K, succ):
         k1 = np.arange(K + 1)
-        l1 = half[np.minimum(k1, K - k1)]
+        l1 = _half_losses(epsilon, grid, prior, K)[np.minimum(k1, K - k1)]
         return combine(K, *_action_values(lattice_kernels(K), K, succ, l1))
 
     return step
 
 
 def half_step(fill):
-    """backward_sweep's step from fill(K, succ, half, out), which writes the
+    """backward_sweep's step from fill(K, succ, out), which writes the
     values of the rows k1 <= K/2 of diagonal K into out.  For odd K the step
     also returns row K//2 + 1, the one row left out that the next diagonal
-    reads, as row K//2 mirrored in u.  The rows are allocated at the size
-    the step returns."""
+    reads, as row K//2 mirrored in u.  The rows go to two buffers that
+    alternate by diagonal, one per parity of K, each allocated at its first
+    diagonal, the largest of its parity; out is a C-contiguous leading block
+    of one.  The second buffer is allocated after the sweep has released
+    the terminal diagonal, so it can take that memory: one block for both
+    raised the peak RSS of repeated solves."""
+    buffers = {}
 
-    def step(K, succ, half):
+    def step(K, succ):
         H = K // 2 + 1
-        cur = np.empty((H + K % 2, succ.shape[1]))
-        fill(K, succ, half, cur[:H])
+        if K % 2 not in buffers:
+            buffers[K % 2] = np.empty((H + 1, succ.shape[1]))
+        cur = buffers[K % 2][: H + K % 2]
+        fill(K, succ, cur[:H])
         if K % 2:
             cur[H] = cur[H - 1, ::-1]
         return cur
@@ -263,13 +281,14 @@ def half_step(fill):
     return step
 
 
-def min_step(epsilon: float, grid: UGrid):
+def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
     """backward_sweep's step for the exact recursion's values alone: the
     plain minimum of the two actions on the rows k1 <= K/2 (half_step).
     Each call is one sweep on the lattice for _LatticeKernels."""
     lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
 
-    def fill(K, succ, half, out):
+    def fill(K, succ, out):
+        half = _half_losses(epsilon, grid, prior, K)
         np.minimum(*_action_values(lattice_kernels(K), K, succ, half), out=out)
 
     return half_step(fill)
@@ -288,7 +307,7 @@ def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOut
     """
     grid, prior, eps = config.grid, config.prior, config.epsilon
     if not keep_strategy:
-        total, no_initial = backward_sweep(eps, grid, prior, min_step(eps, grid))
+        total, no_initial = backward_sweep(eps, grid, prior, min_step(eps, grid, prior))
         return SolveOutput(strategy=None, bayes_risk=total, bayes_risk_no_initial=no_initial)
     shape = (_first_row(config.n_packets), grid.n_points)
     _check_memory(math.prod(shape), "the action table")
@@ -299,5 +318,5 @@ def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOut
         strategy.diagonal(K)[:] = take1
         return np.where(take1, l1, l2)
 
-    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, argmin))
+    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, prior, argmin))
     return SolveOutput(strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial)

@@ -16,12 +16,31 @@ minimum of the two actions pinned to 0 at +-u_max.
 The step computes only the H = K//2 + 1 rows k1 <= K/2 of each diagonal and
 mirrors the rest by arm-swap symmetry, r(u, k1, k2) = r(-u, k2, k1), exact
 for the scheme: the u-grid is symmetric about 0, and tau = t1*t2/t, hence
-the one-step loss, and c_l are symmetric in (t1, t2).  Both actions share
-one second difference of the successor rows 0 .. H.  dp.half_step, which
-the exact solver's value-only sweep also uses, allocates the rows and, for
-odd K, returns row H, the one mirrored row the next diagonal reads.  A
+the one-step loss, and c_l are symmetric in (t1, t2).  dp.half_step, which
+the exact solver's value-only sweep also uses, hands the step its output
+rows in one of two buffers that alternate by diagonal and, for odd K,
+returns row H, the one mirrored row the next diagonal reads.  A
 full-lattice march differs from the mirrors only in the Laplacian's
 rounding, at the last bit.
+
+Every large array operation of the step runs over one contiguous span.
+Both actions share one second difference of the successor rows 0 .. H,
+taken over those rows laid end to end as one flat array: its edge
+columns, u = +-u_max, mix the last point of one row with the first of the
+next, and the Dirichlet-0 pin overwrites them.  The per-row coefficient
+c_l multiplies the rows by einsum, and the two actions' values are built
+in work arrays made at the first diagonal, after the sweep's memory check, and
+reused, so no later diagonal allocates an array of its size.
+The loss is never formed cell by cell: over the atoms (w, p),
+
+    eps * g_1(u, tau) = sum (eps * e^{-2 w^2 tau}) * (p w e^{-2 w u}),
+
+a factor in tau per row times a factor in u built once per solve, and
+g_2's u-factor is that one mirrored, so no row is read reversed.  The
+u-factor's exponent takes core.loss_profile's per-atom cap, core.exp_caps,
+min(EXP_CLIP, 709 - log(n_atoms*p) - log(w)), so the losing branch stays
+finite at any gap SymmetricPrior allows.  The factoring rounds differently
+from loss_profile, by about 1e-16 in the risk.
 """
 
 from __future__ import annotations
@@ -30,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior, UGrid, packet_count
+from .core import ConfigurationError, SymmetricPrior, UGrid, exp_caps, packet_count
 from .dp import backward_sweep, half_step
 
 
@@ -69,27 +88,58 @@ class PdeSolution:
     limit_risk_no_initial: float
 
 
+def _u_factors(prior: SymmetricPrior, grid: UGrid) -> tuple[np.ndarray, np.ndarray]:
+    """p*w*exp(-2*w*u) per atom over the grid, action 1's loss factor in u,
+    and its mirror in u, action 2's.  The exponent takes loss_profile's
+    per-atom cap, so the factors stay finite."""
+    w, p = (np.array(col) for col in zip(*prior.atoms))
+    clip = np.array(exp_caps(prior))[:, None]
+    e_u = (p * w)[:, None] * np.exp(np.minimum(np.multiply.outer(-2.0 * w, grid.points), clip))
+    return e_u, e_u[:, ::-1].copy()
+
+
 def solve_pde(config: PdeConfig) -> PdeSolution:
     """March the explicit scheme backward and assemble the limit risk."""
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
+    n = grid.n_points
+    w = np.array([w for w, _ in prior.atoms])
+    e_u = e_u_mirror = flat = lap = None
 
-    def fill(K, succ, half, out):
+    def fill(K, succ, out):
+        nonlocal e_u, e_u_mirror, flat, lap
         H = len(out)
+        if flat is None:
+            # built at the first diagonal, the largest, after backward_sweep's
+            # memory check, and reused by every diagonal: flat holds the
+            # second difference of the successor rows laid end to end, then
+            # action 1's values; lap one action's Laplacian term at a time
+            e_u, e_u_mirror = _u_factors(prior, grid)
+            flat, lap = np.empty((H + 1) * n), np.empty((H, n))
         t = K * eps
         tj = np.arange(K + 1) * eps  # c_l of a j-batch opposite arm: j = K - k1 (arm 1), k1
-        c = ((eps * inv_du2) * (tj * tj / (2.0 * t * (t + eps))))[:, None]
-        x = succ[: H + 1]
-        d2 = x[:, 1:-1] * -2.0  # rounded as (x[i-1] - 2 x[i]) + x[i+1]
-        d2 += x[:, :-2]
-        d2 += x[:, 2:]
-        r2 = np.add(half[:, ::-1], x[:H], out=out)  # sign flip in u swaps the actions
-        lap = d2[:H] * c[:H]
-        r2[:, 1:-1] += lap
-        half += x[1:]
-        half[:, 1:-1] += np.multiply(d2[1:], c[K : K - H : -1], out=lap)
-        np.minimum(half, r2, out=r2)
-        r2[:, [0, -1]] = 0.0
+        c = (eps * inv_du2) * (tj * tj / (2.0 * t * (t + eps)))
+        # eps*exp(-2*w^2*tau) per atom on rows k1 <= K/2, tau = t1*t2/t
+        e_tau = eps * np.exp(np.multiply.outer(-2.0 * w * w, tj[:H] * tj[K : K - H : -1] / t))
+        x = succ[: H + 1].ravel()
+        D = flat[: (H + 1) * n]
+        D[0] = D[-1] = 0.0
+        np.multiply(x[1:-1], -2.0, out=D[1:-1])  # rounded as (x[i-1] - 2 x[i]) + x[i+1]
+        D[1:-1] += x[:-2]
+        D[1:-1] += x[2:]
+        D = D.reshape(H + 1, n)  # its edge columns mix two rows; the pin overwrites them
+        # action 2 keeps row k1 and sees the loss mirrored in u
+        np.einsum("aj,au->ju", e_tau, e_u_mirror, out=out)
+        out += succ[:H]
+        out += np.einsum("ju,j->ju", D[:H], c[:H], out=lap[:H])
+        lap1 = np.einsum("ju,j->ju", D[1:], c[K : K - H : -1], out=lap[:H])
+        # action 1 moves to row k1 + 1; its values overwrite the spent D
+        a1 = np.einsum("aj,au->ju", e_tau, e_u, out=flat[: H * n].reshape(H, n))
+        a1 += succ[1 : H + 1]
+        a1 += lap1
+        np.minimum(a1, out, out=out)
+        out[:, 0] = 0.0
+        out[:, -1] = 0.0
 
     total, no_initial = backward_sweep(eps, grid, prior, half_step(fill))
     return PdeSolution(limit_risk=total, limit_risk_no_initial=no_initial)

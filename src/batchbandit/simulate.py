@@ -38,6 +38,7 @@ def _check_trial(n_packets: int, d: float, replications: int, seed: int, orienta
         raise ConfigurationError(f"d must be finite and nonnegative with 2*d^2 finite, got {d}")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
+    _check_memory(8.0 * as_float(replications, "replications"), "the replication losses")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     if orientation not in (None, 1, -1):
@@ -128,7 +129,6 @@ def _lockstep(
             f"strategy lattice has {strategy.n_packets} packets, the trial has {n_packets}"
         )
     root_n = math.sqrt(n_packets)
-    _check_memory(8.0 * as_float(replications, "replications"), "the replication losses")
     losses = np.empty(replications)
     offset = 0
     sizes = _batch_sizes(replications)

@@ -82,7 +82,7 @@ def evaluate(strategy: EvalStrategy, prior: SymmetricPrior) -> EvalResult:
     def play(K, l1, l2):
         return np.where(strategy.diagonal(K), l1, l2)
 
-    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, play))
+    total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, prior, play))
     return EvalResult(total_loss=total, loss_no_initial=no_initial)
 
 

@@ -68,9 +68,10 @@ def swept_rows(solve, config, **kwargs):
     (k1, k2) to the row over the u-grid for every diagonal 2 .. n_packets.
 
     For this one call the solver module's backward_sweep is wrapped so that
-    each row its step returns is kept as the step made it; a row k1 the step
-    leaves out is row K - k1 reversed, the arm-swap mirror the sweep's step
-    contract states.  The terminal diagonal is the one the first step reads;
+    each row its step returns is copied as the step made it (a step may
+    reuse its buffers two diagonals later); a row k1 the step leaves out is
+    row K - k1 reversed, the arm-swap mirror the sweep's step contract
+    states.  The terminal diagonal is the one the first step reads;
     with two packets no step runs and the rows are the zero terminal
     diagonal the sweep starts from.
     """
@@ -81,13 +82,13 @@ def swept_rows(solve, config, **kwargs):
 
     def record(K, cur):
         for k1 in range(K + 1):
-            rows[(k1, K - k1)] = cur[k1] if k1 < len(cur) else cur[K - k1, ::-1]
+            rows[(k1, K - k1)] = (cur[k1] if k1 < len(cur) else cur[K - k1, ::-1]).copy()
 
     def recording_sweep(epsilon, grid, prior, step):
-        def recording_step(K, succ, half):
+        def recording_step(K, succ):
             if K == P - 1:
                 record(P, succ)
-            cur = step(K, succ, half)
+            cur = step(K, succ)
             record(K, cur)
             return cur
 

@@ -57,11 +57,11 @@ def test_the_tracer_reads_the_arguments_of_every_call_it_describes():
     # the benchmark pins these call counts: two convolutions per row of the
     # table-keeping dp solve and of evaluate (a solve that keeps no table
     # steps only the rows k1 <= K/2), one loss profile per diagonal of each of
-    # the three sweeps
+    # those two sweeps; the pde builds its loss rows from factors, with none
     rows = sum(K + 1 for K in range(2, 10))  # eps = 0.1: diagonals K = 9 .. 2
     assert metrics["dp.rows"] == rows
     assert metrics["core.convolve.calls"] == 2 * (rows + rows)
-    assert metrics["core.loss_profile.calls"] == 3 * 8
+    assert metrics["core.loss_profile.calls"] == 2 * 8
 
 
 def test_a_tiny_pass_reaches_every_traced_layer(tmp_path):

@@ -90,10 +90,12 @@ def test_solve_grid_too_large_to_index_exits_2(capsys):
     assert "one float array can hold" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "export-strategy"])
+@pytest.mark.parametrize("command", ["solve", "export-strategy", "pde"])
 def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, command):
-    # 2e15 grid points: the sweep alone needs about 4 * 3 * 2e15 * 8 bytes
-    argv = [command, "--epsilon", "0.5", "--d", "1", "--u-max", "1e6", "--du", "1e-9"]
+    # 2e15 grid points: the sweep alone needs about 4 * 3 * 2e15 * 8 bytes;
+    # the pde's explicit scheme is stable there only from eps = du^2 down
+    eps = "1e-18" if command == "pde" else "0.5"
+    argv = [command, "--epsilon", eps, "--d", "1", "--u-max", "1e6", "--du", "1e-9"]
     tracemalloc.start()
     try:
         rc = main(argv + (["--out", str(tmp_path / "s.csv")] if command != "solve" else []))
@@ -216,6 +218,14 @@ def test_gap_just_below_the_overflow_still_solves(capsys):
     for d, risk in (("2e4", 10000.0), ("9.4e153", 4.7e153)):
         doc = run_json(capsys, ["solve", "--epsilon", "0.25", "--d", d])
         assert doc["bayes_risk"] == risk
+
+
+def test_pde_gap_just_below_the_overflow_still_solves(capsys):
+    # the pde's factored loss caps its u-factor's exponent as loss_profile
+    # caps the whole one; with the plain EXP_CLIP cap this gap gave a NaN
+    argv = ["pde", "--epsilon", "0.01", "--d", "9.4e153", "--u-max", "2", "--du", "0.1"]
+    doc = run_json(capsys, argv)
+    assert np.isfinite(doc["limit_risk"]) and doc["limit_risk"] > 0.0
 
 
 def test_solve_never_builds_the_action_table(monkeypatch, capsys):
@@ -573,9 +583,7 @@ def test_config_file_with_a_removed_option_exits_2(tmp_path, solves, capsys, arg
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
     out = tmp_path / "out.json"
-    with pytest.raises(SystemExit) as exit_:
-        main([*argv, "--config", str(cfg), "--out", str(out)])
-    assert exit_.value.code == 2
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
     assert solves == [] and not out.exists()
 
@@ -616,8 +624,10 @@ def test_bad_tolerance_or_top_gap_is_refused_before_any_solve(solves, capsys, ar
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--seed", "-5", "seed must be nonnegative, got -5"),
-     ("--m", "10000000000000000000", "batch_size=10000000000000000000 is beyond int64 range")],
-    ids=["negative-seed", "m-beyond-int64"],
+     ("--m", "10000000000000000000", "batch_size=10000000000000000000 is beyond int64 range"),
+     ("--reps", "1000000000000",
+      "the replication losses needs about 8e+12 bytes, over physical memory")],
+    ids=["negative-seed", "m-beyond-int64", "reps-beyond-memory"],
 )
 def test_loss_curves_refuses_a_bad_trial_before_any_solve(
     tmp_path, solves, capsys, flag, value, message
@@ -690,9 +700,7 @@ def test_every_parameter_resolves_alike_from_flag_and_config(capsys, name, param
     value = _sample(param)
     assert resolved(*_flag(param, value)) == expected(value)
     if param.required:
-        with pytest.raises(SystemExit) as exit_:
-            resolved()
-        assert exit_.value.code == 2
+        assert main([name, *base]) == 2
         assert f"required: {_flag(param, value)[0]}" in capsys.readouterr().err
     else:
         assert resolved() == expected(param.default) != expected(value)
@@ -869,6 +877,15 @@ def test_worst_case_refuses_a_bad_limit_epsilon_before_any_solve(
     assert main(argv) == 2
     assert _one_error_line(capsys).startswith(f"error: {message}")
     assert solves == [] and not out.exists()
+
+
+def test_main_returns_the_code_of_an_argparse_exit(capsys):
+    # an in-process caller gets the exit code back, not a SystemExit
+    assert main(["solve", "--epsilon", "0.1", "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert main(["solve", "--epsilon", "zero"]) == 2
+    assert main(["--help"]) == 0
+    assert "worst-case" in capsys.readouterr().out
 
 
 def test_python_m_batchbandit_runs_the_cli():

@@ -104,8 +104,8 @@ class TestOneStepLoss:
         frac=st.floats(0.0, 1.0),
     )
     def test_arm_swap_leaves_the_loss_row_bitwise_equal(self, ws, t1, t2, n_packets, frac):
-        # backward_sweep computes rows k1 <= K/2 of a diagonal and copies
-        # them to rows K - k1, which needs these to be equal bit for bit
+        # the dp's steps compute the loss rows k1 <= K/2 of a diagonal and
+        # copy them to rows K - k1, which needs these to be equal bit for bit
         prior = SymmetricPrior(tuple((w, 1.0 / len(ws)) for w in ws))
         u = UGrid(4.0, 0.1).points
         assert np.array_equal(loss_profile(prior, u, t1, t2), loss_profile(prior, u, t2, t1))

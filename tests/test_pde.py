@@ -1,8 +1,11 @@
 """Explicit scheme for the diffusion limit."""
 
+import math
+
 import numpy as np
 import pytest
 
+from batchbandit import core, dp
 from batchbandit.core import ConfigurationError, SymmetricPrior, UGrid, loss_profile
 from batchbandit.dp import DpConfig, solve_invariant
 from batchbandit.pde import PdeConfig, solve_pde
@@ -15,14 +18,18 @@ TWO_ATOM = SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))
 def full_lattice_march(atoms, eps, du, u_max):
     """The explicit scheme written out over all K + 1 rows of every
     diagonal, sharing no code with the solver; returns {(k1, k2): row} for
-    the diagonals 2 .. n_packets."""
+    the diagonals 2 .. n_packets.  The loss is computed per cell, unfactored,
+    its exponent capped where the losing branch would overflow, at
+    min(700, 709 - log(n_atoms*p) - log(w)) per atom."""
     P = round(1.0 / eps)
     n = round(u_max / du)
     u = du * np.arange(-n, n + 1)
 
     def g(sign, t1, t2):
         tau = t1 * t2 / (t1 + t2)
-        return sum(p * w * np.exp(sign * 2.0 * w * u - 2.0 * w * w * tau) for w, p in atoms)
+        caps = [min(700.0, 709.0 - math.log(len(atoms) * p) - math.log(w)) for w, p in atoms]
+        return sum(p * w * np.exp(np.minimum(sign * 2.0 * w * u - 2.0 * w * w * tau, cap))
+                   for (w, p), cap in zip(atoms, caps))
 
     rows = {(k1, P - k1): np.zeros(u.size) for k1 in range(P + 1)}
     for K in range(P - 1, 1, -1):
@@ -47,17 +54,37 @@ def full_lattice_march(atoms, eps, du, u_max):
         (TWO_ATOM, 0.05, 0.25, 2.0),  # diagonals K = 2 .. 19, odd and even
         (SymmetricPrior.two_point(1.6), 0.1, 0.32, 2.24),
         (TWO_ATOM, 0.25, 0.5, 2.0),  # K = 3 and 2
+        # large gaps: the loss rows span hundreds of orders of magnitude, and
+        # past 2*w*u of 700 the losing branch's exponent is capped
+        (SymmetricPrior.two_point(60.0), 0.05, 0.25, 2.0),
+        (SymmetricPrior.two_point(1e150), 0.1, 0.32, 2.24),
+        (SymmetricPrior(((0.7, 0.4), (250.0, 0.6))), 0.05, 0.25, 2.0),
     ],
 )
 def test_half_lattice_matches_the_full_lattice_march(prior, eps, du, u_max):
+    # every row within 1e-13 relative to max(1, |value|) of the march's
     _, rows = swept_rows(solve_pde, PdeConfig(eps, prior, UGrid(u_max, du)))
     want = full_lattice_march(prior.atoms, eps, du, u_max)
     assert sorted(rows) == sorted(want)
     for state, row in want.items():
-        np.testing.assert_allclose(rows[state], row, rtol=0.0, atol=1e-13)
+        assert np.all(np.abs(rows[state] - row) <= 1e-13 * np.maximum(1.0, np.abs(row))), state
     for (k1, k2), row in rows.items():
         if k1 != k2:
             assert np.array_equal(row, rows[(k2, k1)][::-1]), (k1, k2)
+
+
+def test_the_march_calls_no_loss_profile(monkeypatch):
+    # the scheme builds its loss rows from a factor in u and one in tau; a
+    # change that brings the per-cell loss profile back into the march fails here
+    def spy(*args, **kwargs):
+        raise AssertionError("loss_profile called")
+
+    monkeypatch.setattr(core, "loss_profile", spy)
+    monkeypatch.setattr(dp, "loss_profile", spy)
+    with pytest.raises(AssertionError, match="loss_profile called"):  # the spy is on the dp's path
+        solve_invariant(DpConfig(0.25, TWO_ATOM, UGrid(2.0, 0.5)), keep_strategy=False)
+    sol = solve_pde(PdeConfig(0.05, TWO_ATOM, UGrid(2.0, 0.25)))
+    assert sol.limit_risk > 0.0
 
 
 def test_rejects_unstable_step_pairing():
