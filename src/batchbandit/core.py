@@ -188,6 +188,32 @@ def loss_profile(prior: SymmetricPrior, u, t1, t2) -> np.ndarray:
     return out
 
 
+def loss_u_factors(prior: SymmetricPrior, grid: UGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step loss factored over the atoms (w, p), for sweeps that
+    build a diagonal's loss rows without a per-cell exponential:
+
+        eps * g_1(u, tau) = sum (eps * e^{-2 w^2 tau}) * (p w e^{-2 w u}),
+
+    a factor in tau per row (loss_tau_factors) times this one in u.
+    Returns p*w*exp(-2*w*u) per atom over the grid, arm 1's factor, and its
+    mirror in u, arm 2's.  The exponent takes exp_caps' per-atom cap, so
+    the factors stay finite; the product rounds differently from
+    loss_profile, by about 1e-16 in a risk."""
+    w, p = (np.array(col) for col in zip(*prior.atoms))
+    clip = np.array(exp_caps(prior))[:, None]
+    e_u = (p * w)[:, None] * np.exp(np.minimum(np.multiply.outer(-2.0 * w, grid.points), clip))
+    return e_u, e_u[:, ::-1].copy()
+
+
+def loss_tau_factors(prior: SymmetricPrior, epsilon: float, K: int, H: int) -> np.ndarray:
+    """eps*exp(-2*w^2*tau) per atom (rows) on the rows k1 < H of diagonal
+    K, tau = t1*t2/t: loss_u_factors' partner."""
+    w = np.array([w for w, _ in prior.atoms])
+    tj = np.arange(K + 1) * epsilon
+    tau = tj[:H] * tj[K : K - H : -1] / (K * epsilon)
+    return epsilon * np.exp(np.multiply.outer(-2.0 * w * w, tau))
+
+
 def transition_variance(epsilon: float, t1: float, t2: float, action: int) -> float:
     """Variance of the u increment when `action` processes one more batch.
 

@@ -25,16 +25,26 @@ half_step keeps that contract, with the one mirrored row an odd diagonal
 hands on, in two buffers that alternate by diagonal; min_step,
 solve_invariant's step when it keeps no table, and pde.solve_pde's 3-tap
 stencil both go through it, at half the work of a full diagonal.
+
+min_step convolves by batched real FFTs: the successor rows are
+transformed once per chunk of rows, multiplied by the real spectra of the
+diagonal's kernels and transformed back, and its loss rows are the
+factored ones (core.loss_u_factors, core.loss_tau_factors).  Its values
+agree with the direct convolution's to rounding, which is relative to a
+row's largest value rather than to each cell's.
+
 gaussian_step steps every row, for the sweeps that decide per state:
 solve_invariant with a table, which records the argmin as the
 StrategyTable's arm-1 mask, and strategy_eval.evaluate, which plays the arm
 a fixed table picks.  Those rows k1 > K/2 differ from the mirrors of the
 rows k1 < K/2 in the convolution's rounding, and at near-tie cells the
 table's decision follows that rounding, so the full sweep keeps them as
-computed.  gaussian_step and min_step take the loss rows from
-core.loss_profile (_half_losses); they, and strategy_eval.frozen_losses,
-take each diagonal's transition kernels from _LatticeKernels, which holds
-one lattice's kernels while sweeps on it follow one another.
+computed.  gaussian_step convolves each row directly
+(core.convolve_zero_padded) and takes the loss rows from core.loss_profile
+(_half_losses), so the tables and the risks pinned on them do not move.
+It, min_step and strategy_eval.frozen_losses take each diagonal's
+transition kernels from _LatticeKernels, which holds one lattice's kernels
+while sweeps on it follow one another.
 """
 
 from __future__ import annotations
@@ -54,6 +64,8 @@ from .core import (
     convolve_zero_padded,
     gaussian_kernel,
     loss_profile,
+    loss_tau_factors,
+    loss_u_factors,
     packet_count,
 )
 
@@ -192,6 +204,37 @@ def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
     ]
 
 
+def _fft_length(n: int, h: int) -> int:
+    """The smallest 5-smooth N >= max(n + h, 2h + 1): a row of n points
+    zero-padded to N and convolved circularly with a centred kernel of
+    half-width h or less wraps nothing into its n outputs."""
+    N = max(n + h, 2 * h + 1)
+    while True:
+        r = N
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return N
+        N += 1
+
+
+# rows per batched transform in min_step: bounds its work arrays (about
+# 0.9 MB on the default grid) whatever the diagonal's length
+_FFT_ROWS = 16
+
+
+def _wrapped(kernels, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the kernels go in rows of length N, one row each, centred at
+    index 0 and wrapped: flat indices into a C-contiguous block of such
+    rows, and the kernels' weights laid end to end in the same order."""
+    sizes = np.array([k.size for k in kernels])
+    weights = np.concatenate(kernels)
+    centres = np.repeat(np.cumsum(sizes) - sizes // 2 - 1, sizes)
+    rows = np.repeat(np.arange(len(kernels)) * N, sizes)
+    return rows + (np.arange(weights.size) - centres) % N, weights
+
+
 class _LatticeKernels:
     """The diagonal_kernels of one lattice (epsilon, grid), shared by the
     sweeps on it.
@@ -201,7 +244,9 @@ class _LatticeKernels:
     consecutive sweep on a lattice keeps its kernels for the sweeps after
     it.  So at most one lattice's kernels are held (0.87 MB at eps = 0.02
     on the default grid), and a lattice swept once, as a fine Richardson
-    solve is, holds none.
+    solve is, holds none.  Their spectra are not kept: keeping arm 1's
+    (2.3 MB at eps = 0.02) saved min_step 3 ms a solve and raised the
+    worst-case search's peak RSS by 11 %, 34.6 to 38.4 MB.
     """
 
     def __init__(self):
@@ -229,17 +274,6 @@ class _LatticeKernels:
 _KERNELS = _LatticeKernels()
 
 
-def _action_values(kernels, K: int, succ, l1):
-    """The two actions' values on rows 0 .. len(l1) - 1 of diagonal K, from
-    l1 holding eps*g1 there: l1 adds the successor rows arm 1 reaches, and
-    l2, l1 mirrored in u, those arm 2 reaches.  l1 is overwritten."""
-    l2 = l1[:, ::-1].copy()  # sign flip in u swaps the actions
-    for k1 in range(len(l1)):
-        l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
-        l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
-    return l1, l2
-
-
 def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, combine):
     """backward_sweep's step for the exact recursion on every row of each
     diagonal: both actions' rows add their successor rows convolved with the
@@ -249,9 +283,16 @@ def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, combine):
     lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
 
     def step(K, succ):
-        k1 = np.arange(K + 1)
-        l1 = _half_losses(epsilon, grid, prior, K)[np.minimum(k1, K - k1)]
-        return combine(K, *_action_values(lattice_kernels(K), K, succ, l1))
+        kernels = lattice_kernels(K)
+        j = np.arange(K + 1)
+        # l1 holds eps*g1, l2 its mirror in u (the sign flip swaps the actions),
+        # each then adding the successor rows its arm reaches
+        l1 = _half_losses(epsilon, grid, prior, K)[np.minimum(j, K - j)]
+        l2 = l1[:, ::-1].copy()
+        for k1 in range(K + 1):
+            l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
+            l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
+        return combine(K, l1, l2)
 
     return step
 
@@ -284,12 +325,64 @@ def half_step(fill):
 def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
     """backward_sweep's step for the exact recursion's values alone: the
     plain minimum of the two actions on the rows k1 <= K/2 (half_step).
-    Each call is one sweep on the lattice for _LatticeKernels."""
+
+    Both actions' convolutions go through one transform length N per
+    lattice, set by its widest kernel, the last of diagonal P - 1, the
+    first one swept (_fft_length).  In chunks of _FFT_ROWS rows, the
+    successor rows a chunk reads are zero-padded to N and transformed once,
+    the chunk's kernels for both arms are transformed in one batch, and each
+    arm's products with the kernels' real spectra are transformed back.  The
+    loss rows are the factored ones, core.loss_tau_factors times
+    core.loss_u_factors.  The factors and the chunk's work arrays are built
+    at the first diagonal, after the sweep's memory check, and reused.  The
+    values agree with gaussian_step's to rounding (the risk within 1e-15 at
+    eps = 0.02, 1.1e-14 at eps = 0.005).  Each call is one sweep on the
+    lattice for _LatticeKernels."""
     lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
+    n, C = grid.n_points, _FFT_ROWS
+    work = None
 
     def fill(K, succ, out):
-        half = _half_losses(epsilon, grid, prior, K)
-        np.minimum(*_action_values(lattice_kernels(K), K, succ, half), out=out)
+        nonlocal work
+        kernels = lattice_kernels(K)
+        if work is None:
+            N = _fft_length(n, kernels[-1].size // 2)
+            F = N // 2 + 1
+            work = (
+                N,
+                *loss_u_factors(prior, grid),
+                np.zeros((C + 1, N)),  # the successor rows; columns n .. N - 1 stay 0
+                np.zeros((2 * C, N)),  # the kernels; zero but for the taps written
+                np.empty((C + 1, F), complex),
+                np.empty((2 * C, F), complex),
+                np.empty((C, N)),
+                np.empty((C, n)),
+            )
+        N, e_u, e_u_mirror, rows, taps, spec, kspec, back, a2 = work
+        e_tau = loss_tau_factors(prior, epsilon, K, len(out))
+        for c0 in range(0, len(out), C):
+            c1 = min(c0 + C, len(out))
+            m = c1 - c0
+            # arm 1 moves row k1 to row k1 + 1 through kernel K - k1; arm 2
+            # keeps it, through kernel k1
+            rows[: m + 1, :n] = succ[c0 : c1 + 1]
+            np.fft.rfft(rows[: m + 1], out=spec[: m + 1])
+            at, weights = _wrapped(kernels[K - c0 : K - c1 : -1] + kernels[c0:c1], N)
+            np.put(taps, at, weights)
+            np.fft.rfft(taps[: 2 * m], out=kspec[: 2 * m])
+            np.put(taps, at, 0.0)
+            # a symmetric kernel's spectrum is real: its imaginary rounding is
+            # dropped, and the products are the real spectra's, bit for bit
+            kspec[: 2 * m].imag = 0.0
+            kspec[:m] *= spec[1 : m + 1]
+            kspec[m : 2 * m] *= spec[:m]
+            np.fft.irfft(kspec[:m], N, out=back[:m])
+            a1 = np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u, out=out[c0:c1])
+            a1 += back[:m, :n]
+            np.fft.irfft(kspec[m : 2 * m], N, out=back[:m])
+            np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u_mirror, out=a2[:m])
+            a2[:m] += back[:m, :n]
+            np.minimum(a1, a2[:m], out=a1)
 
     return half_step(fill)
 
@@ -299,11 +392,11 @@ def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOut
     assembled Bayes risk.
 
     keep_strategy=False drops the action table and steps only the rows
-    k1 <= K/2 of each diagonal (min_step), half the convolutions; its risk
-    agrees with the table-keeping sweep's to rounding.  With the table every
-    row is stepped: the rows k1 > K/2 round differently from the mirrors of
-    the rows k1 < K/2, and the table's near-tie cells follow the rows as
-    computed, value ties resolved to arm 1.
+    k1 <= K/2 of each diagonal (min_step), convolved by batched FFTs; its
+    risk agrees with the table-keeping sweep's to rounding.  With the table
+    every row is stepped: the rows k1 > K/2 round differently from the
+    mirrors of the rows k1 < K/2, and the table's near-tie cells follow the
+    rows as computed, value ties resolved to arm 1.
     """
     grid, prior, eps = config.grid, config.prior, config.epsilon
     if not keep_strategy:

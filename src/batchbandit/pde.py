@@ -35,8 +35,9 @@ The loss is never formed cell by cell: over the atoms (w, p),
 
     eps * g_1(u, tau) = sum (eps * e^{-2 w^2 tau}) * (p w e^{-2 w u}),
 
-a factor in tau per row times a factor in u built once per solve, and
-g_2's u-factor is that one mirrored, so no row is read reversed.  The
+a factor in tau per row times a factor in u built once per solve
+(core.loss_tau_factors and core.loss_u_factors, which dp.min_step shares),
+and g_2's u-factor is that one mirrored, so no row is read reversed.  The
 u-factor's exponent takes core.loss_profile's per-atom cap, core.exp_caps,
 min(EXP_CLIP, 709 - log(n_atoms*p) - log(w)), so the losing branch stays
 finite at any gap SymmetricPrior allows.  The factoring rounds differently
@@ -49,7 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, SymmetricPrior, UGrid, exp_caps, packet_count
+from .core import (
+    ConfigurationError,
+    SymmetricPrior,
+    UGrid,
+    loss_tau_factors,
+    loss_u_factors,
+    packet_count,
+)
 from .dp import backward_sweep, half_step
 
 
@@ -88,22 +96,11 @@ class PdeSolution:
     limit_risk_no_initial: float
 
 
-def _u_factors(prior: SymmetricPrior, grid: UGrid) -> tuple[np.ndarray, np.ndarray]:
-    """p*w*exp(-2*w*u) per atom over the grid, action 1's loss factor in u,
-    and its mirror in u, action 2's.  The exponent takes loss_profile's
-    per-atom cap, so the factors stay finite."""
-    w, p = (np.array(col) for col in zip(*prior.atoms))
-    clip = np.array(exp_caps(prior))[:, None]
-    e_u = (p * w)[:, None] * np.exp(np.minimum(np.multiply.outer(-2.0 * w, grid.points), clip))
-    return e_u, e_u[:, ::-1].copy()
-
-
 def solve_pde(config: PdeConfig) -> PdeSolution:
     """March the explicit scheme backward and assemble the limit risk."""
     eps, prior, grid = config.epsilon, config.prior, config.grid
     inv_du2 = 1.0 / (grid.du * grid.du)
     n = grid.n_points
-    w = np.array([w for w, _ in prior.atoms])
     e_u = e_u_mirror = flat = lap = None
 
     def fill(K, succ, out):
@@ -114,13 +111,12 @@ def solve_pde(config: PdeConfig) -> PdeSolution:
             # memory check, and reused by every diagonal: flat holds the
             # second difference of the successor rows laid end to end, then
             # action 1's values; lap one action's Laplacian term at a time
-            e_u, e_u_mirror = _u_factors(prior, grid)
+            e_u, e_u_mirror = loss_u_factors(prior, grid)
             flat, lap = np.empty((H + 1) * n), np.empty((H, n))
         t = K * eps
         tj = np.arange(K + 1) * eps  # c_l of a j-batch opposite arm: j = K - k1 (arm 1), k1
         c = (eps * inv_du2) * (tj * tj / (2.0 * t * (t + eps)))
-        # eps*exp(-2*w^2*tau) per atom on rows k1 <= K/2, tau = t1*t2/t
-        e_tau = eps * np.exp(np.multiply.outer(-2.0 * w * w, tj[:H] * tj[K : K - H : -1] / t))
+        e_tau = loss_tau_factors(prior, eps, K, H)
         x = succ[: H + 1].ravel()
         D = flat[: (H + 1) * n]
         D[0] = D[-1] = 0.0

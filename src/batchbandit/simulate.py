@@ -196,7 +196,10 @@ def simulate_gaussian(
     m_gap_half = d / root_n
 
     def draw(rng, sign):
-        xi = rng.normal(sign * m_gap_half, 1.0)
+        # rng.normal(loc, 1.0) draws loc + 1.0*z from the same stream: these
+        # are its numbers, without its per-element broadcast of loc
+        xi = sign * m_gap_half
+        xi += rng.standard_normal(sign.size)
         return xi, xi
 
     return _lockstep(

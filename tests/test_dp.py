@@ -124,11 +124,11 @@ def test_value_only_sweep_rows_match_the_table_keeping_sweep(eps, prior):
     assert abs(half.bayes_risk_no_initial - full.bayes_risk_no_initial) <= 1e-15
 
 
-@pytest.mark.parametrize("keep_strategy, calls", [(False, 1296), (True, 2544)])
+@pytest.mark.parametrize("keep_strategy, calls", [(False, 0), (True, 2544)])
 def test_convolutions_per_sweep(monkeypatch, keep_strategy, calls):
-    # two per row of each interior diagonal K = 2 .. 49 with a table, two per
-    # row k1 <= K/2 without one
-    rows = [K + 1 if keep_strategy else K // 2 + 1 for K in range(2, 50)]
+    # two per row of each interior diagonal K = 2 .. 49 with a table; without
+    # one the sweep convolves by its batched transforms and makes no call
+    rows = [K + 1 for K in range(2, 50)] if keep_strategy else []
     assert 2 * sum(rows) == calls
     counted = []
     real = dp.convolve_zero_padded
@@ -266,3 +266,90 @@ def test_a_lattice_swept_once_releases_the_kernels_kept_before_it():
     assert first < 100_000 and second > 800_000
     assert abs(third - second) < 100_000  # the third sweep reuses them
     assert after_fine < 100_000
+
+
+# ---------------------------------------------------------------------------
+# The value-only sweep's batched transforms.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg, bound",
+    [
+        (DpConfig(0.25, SymmetricPrior.two_point(1.6), UGrid(2.0, 0.5)), 1e-15),
+        (DpConfig(0.02, SymmetricPrior(((0.7, 0.4), (1.8, 0.6)))), 1e-15),
+        (DpConfig(0.02, SymmetricPrior.two_point(60.0)), 1e-15),
+        (DpConfig(0.02, SymmetricPrior.two_point(2e4)), 1e-15),
+        (DpConfig(0.02, SymmetricPrior.two_point(9.4e153)), 1e-15),
+        # four times the diagonals, each adding its transforms' rounding (5.6e-15)
+        (DpConfig(0.01, SymmetricPrior.two_point(1.6)), 1e-13),
+    ],
+    ids=["kernel-longer-than-row", "two-atom", "gap60", "gap2e4", "gap9.4e153", "eps0.01"],
+)
+def test_value_sweep_risks_match_the_table_keeping_sweep(cfg, bound):
+    if cfg.grid.n_points == 9:  # the widest kernel, at K = 3, has 13 points
+        assert diagonal_kernels(cfg.epsilon, cfg.grid, 3)[-1].size > cfg.grid.n_points
+    full = solve_invariant(cfg)
+    half = solve_invariant(cfg, keep_strategy=False)
+    scale = max(1.0, abs(full.bayes_risk))
+    assert abs(half.bayes_risk - full.bayes_risk) <= bound * scale
+    assert abs(half.bayes_risk_no_initial - full.bayes_risk_no_initial) <= bound * scale
+
+
+def test_fft_length_wraps_nothing_into_a_row():
+    # the widest kernel of eps = 0.02 on the default grid spans 84 points a side
+    assert diagonal_kernels(0.02, UGrid(), 49)[-1].size == 2 * 84 + 1
+    assert dp._fft_length(801, 84) == 900  # 5-smooth, >= 801 + 84
+    assert dp._fft_length(9, 6) == 15  # >= 2*6 + 1 > 9 + 6
+    assert dp._fft_length(9, 0) == 9
+
+
+def test_first_and_later_value_sweeps_give_bitwise_equal_risks():
+    # the first sweep on a lattice builds its kernels per diagonal, the
+    # second keeps them and the third reads them; a decision sweep between
+    # leaves them as they are
+    prior = SymmetricPrior.two_point(1.6)
+    cfg = DpConfig(0.05, prior, UGrid(3.0, 0.02))
+    solve_invariant(DpConfig(0.25, prior, cfg.grid), keep_strategy=False)  # another lattice
+    risks = [solve_invariant(cfg, keep_strategy=False) for _ in range(3)]
+    solve_invariant(cfg)
+    risks.append(solve_invariant(cfg, keep_strategy=False))
+    assert len({(r.bayes_risk, r.bayes_risk_no_initial) for r in risks}) == 1
+
+
+def test_a_value_only_solve_at_eps_0_005_peaks_under_4_mib():
+    # the sweep's rows (about 2.6 MB on the default grid) and the transforms'
+    # work arrays, sized for 16 rows: for a whole diagonal, 101 rows, they
+    # would take 5.5 MB
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid()
+    grid.points
+    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+    tracemalloc.start()
+    try:
+        solve_invariant(DpConfig(0.005, prior, grid), keep_strategy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_value_and_decision_sweeps_on_one_lattice_keep_only_its_kernels():
+    # the transforms' spectra and work arrays live for one sweep: what a
+    # lattice's sweeps leave behind is its kernels
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
+    grid.points
+    cfg = DpConfig(0.1, prior, grid)
+    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+    retained = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for keep_strategy in (False, False, True):  # the second keeps the kernels
+            solve_invariant(cfg, keep_strategy=keep_strategy)
+            retained.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert sorted(dp._KERNELS.kept) == list(range(2, 10))
+    kernel_bytes = sum(k.nbytes for ks in dp._KERNELS.kept.values() for k in ks)
+    assert retained[0] < 20_000
+    assert all(kernel_bytes < r < kernel_bytes + 20_000 for r in retained[1:])

@@ -82,7 +82,7 @@ def test_the_march_calls_no_loss_profile(monkeypatch):
     monkeypatch.setattr(core, "loss_profile", spy)
     monkeypatch.setattr(dp, "loss_profile", spy)
     with pytest.raises(AssertionError, match="loss_profile called"):  # the spy is on the dp's path
-        solve_invariant(DpConfig(0.25, TWO_ATOM, UGrid(2.0, 0.5)), keep_strategy=False)
+        solve_invariant(DpConfig(0.25, TWO_ATOM, UGrid(2.0, 0.5)))  # a table-keeping solve
     sol = solve_pde(PdeConfig(0.05, TWO_ATOM, UGrid(2.0, 0.25)))
     assert sol.limit_risk > 0.0
 
