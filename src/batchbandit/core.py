@@ -229,22 +229,44 @@ def transition_variance(epsilon: float, t1: float, t2: float, action: int) -> fl
     return epsilon * other * other / (t * (t + epsilon))
 
 
-def gaussian_kernel(variance: float, grid: UGrid) -> np.ndarray:
-    """Discrete centered Gaussian weights at grid offsets, truncated at 6 sigma
-    and renormalized to sum 1.
+def gaussian_kernels(variances, grid: UGrid) -> list[np.ndarray]:
+    """Discrete centered Gaussian weights at grid offsets, one kernel per
+    variance, each truncated at 6 sigma and renormalized to sum 1.
 
     A standard deviation below du/2 cannot be resolved by the grid and
     degenerates to the delta kernel [1.0]; convolution is then an identity.
+    The kernels are built together: one exp over their taps laid end to
+    end, a sum per kernel and one division, then each copied out, as views
+    of the one array raised a process's peak RSS.  Every tap is the same
+    operation on the same operands as when its kernel is built alone.
     """
-    if not (variance >= 0.0 and math.isfinite(variance)):
-        raise ValueError(f"variance must be nonnegative and finite, got {variance}")
-    sigma = math.sqrt(variance)
-    if sigma < 0.5 * grid.du:
-        return np.ones(1)
-    half = int(math.ceil(6.0 * sigma / grid.du))
-    offsets = grid.du * np.arange(-half, half + 1)
-    w = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return w / w.sum()
+    var = np.asarray(variances, dtype=float).reshape(-1)
+    bad = ~(var >= 0.0) | ~np.isfinite(var)
+    if bad.any():
+        raise ValueError(f"variance must be nonnegative and finite, got {var[bad][0]}")
+    sigma = np.sqrt(var)
+    delta = sigma < 0.5 * grid.du
+    half = np.where(delta, 0.0, np.ceil(6.0 * sigma / grid.du)).astype(np.int64)
+    sizes = 2 * half + 1
+    ends = np.cumsum(sizes)
+    # each tap's offset from its kernel's centre, in grid steps, then in
+    # sigmas; a delta kernel's one tap scales by 1, so its weight is exp(0)
+    w = np.arange(ends[-1] if ends.size else 0)
+    w -= np.repeat(ends - half - 1, sizes)
+    w = grid.du * w
+    w /= np.repeat(np.where(delta, 1.0, sigma), sizes)
+    w **= 2
+    w *= -0.5
+    np.exp(w, out=w)
+    bounds = ends.tolist()
+    kernels = [w[a:b] for a, b in zip([0] + bounds, bounds)]
+    w /= np.repeat([np.add.reduce(k) for k in kernels], sizes)
+    return [k.copy() for k in kernels]
+
+
+def gaussian_kernel(variance: float, grid: UGrid) -> np.ndarray:
+    """gaussian_kernels' kernel of one variance."""
+    return gaussian_kernels([variance], grid)[0]
 
 
 def convolve_zero_padded(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:

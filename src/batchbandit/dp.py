@@ -31,7 +31,9 @@ transformed once per chunk of rows, multiplied by the real spectra of the
 diagonal's kernels and transformed back, and its loss rows are the
 factored ones (core.loss_u_factors, core.loss_tau_factors).  Its values
 agree with the direct convolution's to rounding, which is relative to a
-row's largest value rather than to each cell's.
+row's largest value rather than to each cell's.  From a lattice's second
+consecutive sweep on, the spectra are kept (_LatticeKernels, up to
+_SPECTRA_BYTES) and later value sweeps transform no kernel.
 
 gaussian_step steps every row, for the sweeps that decide per state:
 solve_invariant with a table, which records the argmin as the
@@ -42,9 +44,9 @@ table's decision follows that rounding, so the full sweep keeps them as
 computed.  gaussian_step convolves each row directly
 (core.convolve_zero_padded) and takes the loss rows from core.loss_profile
 (_half_losses), so the tables and the risks pinned on them do not move.
-It, min_step and strategy_eval.frozen_losses take each diagonal's
-transition kernels from _LatticeKernels, which holds one lattice's kernels
-while sweeps on it follow one another.
+It and strategy_eval.frozen_losses build each diagonal's transition
+kernels (diagonal_kernels) and work through chunks of rows in place, so a
+decision sweep allocates nothing of a diagonal's size per diagonal.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .core import (
     UGrid,
     centered_gaussian_weights,
     convolve_zero_padded,
-    gaussian_kernel,
+    gaussian_kernels,
     loss_profile,
     loss_tau_factors,
     loss_u_factors,
@@ -158,11 +160,12 @@ def backward_sweep(epsilon: float, grid: UGrid, prior: SymmetricPrior, step) -> 
     Rows of diagonal K are indexed by k1 (t1 = k1*eps, t2 = (K - k1)*eps).
     step(K, succ) reads succ, the rows diagonal K + 1's step returned, and
     returns the rows of diagonal K that the next step reads, the first ones
-    by k1 (a row k1 left out is row K - k1 mirrored in u).  It must leave
-    succ as it is, and may write the rows it returns into a buffer it
-    reuses two diagonals later.  A grid whose sweep buffers (about four
-    (n_packets + 1) x n_u float blocks) exceed physical memory is refused
-    first.
+    by k1 (a row k1 left out is row K - k1 mirrored in u).  It may write
+    the rows it returns into a buffer it reuses two diagonals later
+    (half_step), or over the rows of succ it reads no more, returning a
+    leading block of succ (gaussian_step).  A grid whose sweep buffers
+    (about four (n_packets + 1) x n_u float blocks) exceed physical memory
+    is refused first.
     """
     n_packets = packet_count(epsilon)
     _check_memory(4 * (n_packets + 1) * grid.n_points * 8, "the sweep")
@@ -198,10 +201,8 @@ def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
     on the arm not played: arm 1 moves row k1 through kernel K - k1, arm 2
     through kernel k1, so the one set serves both actions."""
     t = K * epsilon
-    return [
-        gaussian_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
-        for j in range(K + 1)
-    ]
+    variances = [epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)) for j in range(K + 1)]
+    return gaussian_kernels(variances, grid)
 
 
 def _fft_length(n: int, h: int) -> int:
@@ -219,9 +220,20 @@ def _fft_length(n: int, h: int) -> int:
         N += 1
 
 
-# rows per batched transform in min_step: bounds its work arrays (about
-# 0.9 MB on the default grid) whatever the diagonal's length
-_FFT_ROWS = 16
+# rows per chunk in the sweeps' steps: bounds their work arrays (min_step's
+# about 0.6 MB on the default grid, gaussian_step's 0.2 MB) whatever the
+# diagonal's length
+_CHUNK_ROWS = 16
+
+# the bytes of kernel spectra one lattice keeps.  eps = 0.02 on the default
+# grid needs 4.59 MB (1,272 kernels of 451 real coefficients) and fits
+# whole; eps = 0.01 (17.5 MB) keeps its diagonals 2 .. 53 and eps = 0.005
+# (70 MB) its diagonals 2 .. 51.  On a 2-core VM, minimax_dp's peak RSS
+# read 38.4-38.6 MB with the whole eps = 0.02 store against 35.6-35.8 MB
+# without one (single 12 s runs), and 38.2 MB with diagonals 2 .. 46 only
+# (4.06 MB), for 0.02 s more a pass: a smaller cap saves little memory,
+# since each pass's peak also holds the saddle check's table and sweep.
+_SPECTRA_BYTES = 5 << 20
 
 
 def _wrapped(kernels, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,64 +247,104 @@ def _wrapped(kernels, N: int) -> tuple[np.ndarray, np.ndarray]:
     return rows + (np.arange(weights.size) - centres) % N, weights
 
 
-class _LatticeKernels:
-    """The diagonal_kernels of one lattice (epsilon, grid), shared by the
-    sweeps on it.
+class _Spectra:
+    """The real spectra, at one lattice's transform length N, of the
+    kernels of its diagonals 2 .. last, in one block laid out as a
+    StrategyTable's rows: diagonal K's from _first_row(K) on, by j as
+    diagonal_kernels returns them.  last is the largest diagonal whose
+    rows fit in _SPECTRA_BYTES with those of every smaller one, so a
+    lattice too large keeps its smallest diagonals.  A diagonal's rows are
+    filled by the first value sweep that reaches it (filled)."""
 
-    A sweep on a lattice other than the last one swept builds each
-    diagonal's kernels and drops them, and releases what was kept; a second
-    consecutive sweep on a lattice keeps its kernels for the sweeps after
-    it.  So at most one lattice's kernels are held (0.87 MB at eps = 0.02
-    on the default grid), and a lattice swept once, as a fine Richardson
-    solve is, holds none.  Their spectra are not kept: keeping arm 1's
-    (2.3 MB at eps = 0.02) saved min_step 3 ms a solve and raised the
-    worst-case search's peak RSS by 11 %, 34.6 to 38.4 MB.
+    def __init__(self, P: int, N: int):
+        F = N // 2 + 1
+        last = P - 1
+        while last >= 2 and _first_row(last + 1) * F * 8 > _SPECTRA_BYTES:
+            last -= 1
+        self.N = N
+        self.block = np.empty((max(_first_row(last + 1), 0), F))
+        self.filled = set()
+
+    def rows(self, K: int) -> np.ndarray | None:
+        """Diagonal K's rows, or None where the block does not reach."""
+        if _first_row(K + 1) > len(self.block):
+            return None
+        return self.block[_first_row(K) : _first_row(K + 1)]
+
+
+class _LatticeKernels:
+    """What the sweeps on one lattice (epsilon, grid) keep while they follow
+    one another: the spectra of its kernels (_Spectra), the form min_step
+    multiplies by.
+
+    A sweep on a lattice other than the last one swept releases what was
+    kept.  From a lattice's second consecutive sweep on, min_step keeps the
+    spectra and reads them on every later value sweep, which then builds
+    and transforms no kernel of a kept diagonal; a lattice swept once, as a
+    fine Richardson solve is, keeps none.  The decision sweeps
+    (gaussian_step, frozen_losses) build each diagonal's taps and drop
+    them, and leave the spectra in place.  No taps are kept.
+
+    The trade, measured on minimax_dp's eps = 0.02 search (20 value sweeps
+    and three decision sweeps a pass): the 4.59 MB of spectra, in place of
+    the 0.87 MB of taps kept before, cut a value sweep from about 16 ms to
+    11 ms and add about 4 ms to each decision sweep for its kernels, and
+    raise the pass's peak RSS by about 8 % (see _SPECTRA_BYTES).
     """
 
     def __init__(self):
         self.lattice = None
-        self.kept = None
+        self.spectra = None
 
-    def for_sweep(self, epsilon: float, grid: UGrid):
-        """kernels(K), diagonal K's kernels, for one sweep on this lattice."""
+    def for_sweep(self, epsilon: float, grid: UGrid) -> bool:
+        """Count one sweep on the lattice (epsilon, grid): True from its
+        second consecutive sweep on."""
         lattice = (epsilon, grid.u_max, grid.du)
-        if lattice != self.lattice:
-            self.lattice, self.kept = lattice, None
-            return lambda K: diagonal_kernels(epsilon, grid, K)
-        if self.kept is None:
-            self.kept = {}
-        kept = self.kept
-
-        def kernels(K):
-            if K not in kept:
-                kept[K] = diagonal_kernels(epsilon, grid, K)
-            return kept[K]
-
-        return kernels
+        if lattice == self.lattice:
+            return True
+        self.lattice, self.spectra = lattice, None
+        return False
 
 
 _KERNELS = _LatticeKernels()
 
 
-def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, combine):
+def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, choose):
     """backward_sweep's step for the exact recursion on every row of each
     diagonal: both actions' rows add their successor rows convolved with the
-    transition kernels, and combine(K, l1, l2) turns the two action values
-    into the diagonal's.  Each call is one sweep on the lattice for
-    _LatticeKernels."""
-    lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
+    transition kernels, and choose(K, c0, l1, l2) returns the bool rows
+    c0 .. c0 + len(l1) - 1 of diagonal K, True where arm 1 is played; the
+    step's rows are l1 there and l2 elsewhere.
+
+    The rows go in chunks of _CHUNK_ROWS through one work array built at
+    the first diagonal.  Row k1 reads the successor rows k1 and k1 + 1, so
+    each chunk's rows overwrite the successor rows below it, which no later
+    chunk reads, and the step returns a leading block of succ: a sweep
+    allocates no rows of a diagonal's size beyond backward_sweep's own.
+    Each call is one sweep on the lattice for _LatticeKernels."""
+    _KERNELS.for_sweep(epsilon, grid)
+    work = None
 
     def step(K, succ):
-        kernels = lattice_kernels(K)
-        j = np.arange(K + 1)
-        # l1 holds eps*g1, l2 its mirror in u (the sign flip swaps the actions),
-        # each then adding the successor rows its arm reaches
-        l1 = _half_losses(epsilon, grid, prior, K)[np.minimum(j, K - j)]
-        l2 = l1[:, ::-1].copy()
-        for k1 in range(K + 1):
-            l1[k1] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
-            l2[k1] += convolve_zero_padded(succ[k1], kernels[k1])
-        return combine(K, l1, l2)
+        nonlocal work
+        if work is None:
+            work = np.empty((2, _CHUNK_ROWS, succ.shape[1]))
+        kernels = diagonal_kernels(epsilon, grid, K)
+        half = _half_losses(epsilon, grid, prior, K)
+        for c0 in range(0, K + 1, _CHUNK_ROWS):
+            c1 = min(c0 + _CHUNK_ROWS, K + 1)
+            l1, l2 = work[:, : c1 - c0]
+            j = np.arange(c0, c1)
+            # l1 holds eps*g1, l2 its mirror in u (the sign flip swaps the
+            # actions), each then adding the successor rows its arm reaches
+            np.take(half, np.minimum(j, K - j), axis=0, out=l1, mode="clip")
+            np.copyto(l2, l1[:, ::-1])
+            for k1 in range(c0, c1):
+                l1[k1 - c0] += convolve_zero_padded(succ[k1 + 1], kernels[K - k1])
+                l2[k1 - c0] += convolve_zero_padded(succ[k1], kernels[k1])
+            np.copyto(l2, l1, where=choose(K, c0, l1, l2))
+            succ[c0:c1] = l2
+        return succ[: K + 1]
 
     return step
 
@@ -328,61 +380,94 @@ def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
 
     Both actions' convolutions go through one transform length N per
     lattice, set by its widest kernel, the last of diagonal P - 1, the
-    first one swept (_fft_length).  In chunks of _FFT_ROWS rows, the
+    first one swept (_fft_length).  In chunks of _CHUNK_ROWS rows, the
     successor rows a chunk reads are zero-padded to N and transformed once,
-    the chunk's kernels for both arms are transformed in one batch, and each
-    arm's products with the kernels' real spectra are transformed back.  The
-    loss rows are the factored ones, core.loss_tau_factors times
-    core.loss_u_factors.  The factors and the chunk's work arrays are built
-    at the first diagonal, after the sweep's memory check, and reused.  The
-    values agree with gaussian_step's to rounding (the risk within 1e-15 at
-    eps = 0.02, 1.1e-14 at eps = 0.005).  Each call is one sweep on the
-    lattice for _LatticeKernels."""
-    lattice_kernels = _KERNELS.for_sweep(epsilon, grid)
-    n, C = grid.n_points, _FFT_ROWS
+    multiplied by the real spectra of the chunk's kernels for each arm and
+    transformed back.  Arm 1 moves row k1 to row k1 + 1 through kernel
+    K - k1 and arm 2 keeps it, through kernel k1, so the chunk of rows
+    c0 .. c1 - 1 reads the spectra K - c0 down to K - c1 + 1, then
+    c0 .. c1 - 1.  Where the lattice keeps a diagonal's spectra
+    (_LatticeKernels) they are read; elsewhere each arm's kernels are
+    placed centred and wrapped (_wrapped) and transformed in one batch.
+    The loss rows are the factored ones, core.loss_tau_factors times
+    core.loss_u_factors.  The factors and the work arrays are built at the
+    first diagonal, after the sweep's memory check, and reused; the kernels
+    are placed in the rows that held the successor rows, once those are
+    transformed.  The values agree with gaussian_step's to rounding (the
+    risk within 1e-15 at eps = 0.02, 1.1e-14 at eps = 0.005).  A kept
+    spectrum is bitwise the one transformed per chunk, so a lattice's
+    sweeps give bitwise equal risks however much of it is kept.  Each call
+    is one sweep on the lattice for _LatticeKernels."""
+    keep = _KERNELS.for_sweep(epsilon, grid)
+    n, C = grid.n_points, _CHUNK_ROWS
     work = None
 
     def fill(K, succ, out):
         nonlocal work
-        kernels = lattice_kernels(K)
+        spectra, kernels = _KERNELS.spectra, None
         if work is None:
-            N = _fft_length(n, kernels[-1].size // 2)
+            if spectra is None:
+                kernels = diagonal_kernels(epsilon, grid, K)
+                N = _fft_length(n, kernels[-1].size // 2)
+            else:
+                N = spectra.N
+            if keep and spectra is None:
+                spectra = _KERNELS.spectra = _Spectra(K + 1, N)
             F = N // 2 + 1
             work = (
                 N,
                 *loss_u_factors(prior, grid),
-                np.zeros((C + 1, N)),  # the successor rows; columns n .. N - 1 stay 0
-                np.zeros((2 * C, N)),  # the kernels; zero but for the taps written
+                np.zeros((C + 1, N)),  # successor rows zero-padded to N, or kernels
                 np.empty((C + 1, F), complex),
-                np.empty((2 * C, F), complex),
-                np.empty((C, N)),
+                np.empty((C, F), complex),
                 np.empty((C, n)),
             )
-        N, e_u, e_u_mirror, rows, taps, spec, kspec, back, a2 = work
+        N, e_u, e_u_mirror, rows, spec, prod, a2 = work
+
+        def transform(kernels, out):
+            """The spectra of up to C + 1 kernels into out, through rows."""
+            at, weights = _wrapped(kernels, N)
+            rows[: len(kernels)] = 0.0
+            np.put(rows, at, weights)
+            np.fft.rfft(rows[: len(kernels)], out=out)
+            np.put(rows, at, 0.0)
+            # a symmetric kernel's spectrum is real: its imaginary rounding
+            # is dropped, and the products are the real spectra's, bit for bit
+            out.imag = 0.0
+
+        def convolved(arm, succ_spec):
+            """The successor rows whose spectra are succ_spec, each through
+            its kernel in arm: kept spectra, or kernels transformed here."""
+            m = len(succ_spec)
+            if isinstance(arm, list):
+                transform(arm, prod[:m])
+                prod[:m] *= succ_spec
+            else:
+                np.multiply(succ_spec, arm, out=prod[:m])
+            return np.fft.irfft(prod[:m], N, out=rows[:m])[:, :n]
+
+        kept = spectra.rows(K) if spectra is not None else None
+        if kernels is None and (kept is None or K not in spectra.filled):
+            kernels = diagonal_kernels(epsilon, grid, K)
+        if kept is not None and K not in spectra.filled:
+            for r0 in range(0, K + 1, C + 1):
+                r1 = min(r0 + C + 1, K + 1)
+                transform(kernels[r0:r1], spec[: r1 - r0])
+                kept[r0:r1] = spec[: r1 - r0].real
+            spectra.filled.add(K)
+        arms = kernels if kept is None else kept
         e_tau = loss_tau_factors(prior, epsilon, K, len(out))
         for c0 in range(0, len(out), C):
             c1 = min(c0 + C, len(out))
             m = c1 - c0
-            # arm 1 moves row k1 to row k1 + 1 through kernel K - k1; arm 2
-            # keeps it, through kernel k1
             rows[: m + 1, :n] = succ[c0 : c1 + 1]
             np.fft.rfft(rows[: m + 1], out=spec[: m + 1])
-            at, weights = _wrapped(kernels[K - c0 : K - c1 : -1] + kernels[c0:c1], N)
-            np.put(taps, at, weights)
-            np.fft.rfft(taps[: 2 * m], out=kspec[: 2 * m])
-            np.put(taps, at, 0.0)
-            # a symmetric kernel's spectrum is real: its imaginary rounding is
-            # dropped, and the products are the real spectra's, bit for bit
-            kspec[: 2 * m].imag = 0.0
-            kspec[:m] *= spec[1 : m + 1]
-            kspec[m : 2 * m] *= spec[:m]
-            np.fft.irfft(kspec[:m], N, out=back[:m])
             a1 = np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u, out=out[c0:c1])
-            a1 += back[:m, :n]
-            np.fft.irfft(kspec[m : 2 * m], N, out=back[:m])
+            a1 += convolved(arms[K - c0 : K - c1 : -1], spec[1 : m + 1])
             np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u_mirror, out=a2[:m])
-            a2[:m] += back[:m, :n]
+            a2[:m] += convolved(arms[c0:c1], spec[:m])
             np.minimum(a1, a2[:m], out=a1)
+            rows[:m, n:] = 0.0  # zero-padding for the next chunk's successor rows
 
     return half_step(fill)
 
@@ -406,10 +491,8 @@ def solve_invariant(config: DpConfig, *, keep_strategy: bool = True) -> SolveOut
     _check_memory(math.prod(shape), "the action table")
     strategy = StrategyTable(epsilon=eps, grid=grid, arm1=np.zeros(shape, dtype=bool))
 
-    def argmin(K, l1, l2):
-        take1 = l1 <= l2  # value ties resolve to action 1
-        strategy.diagonal(K)[:] = take1
-        return np.where(take1, l1, l2)
+    def argmin(K, c0, l1, l2):  # value ties resolve to action 1
+        return np.less_equal(l1, l2, out=strategy.diagonal(K)[c0 : c0 + len(l1)])
 
     total, no_initial = backward_sweep(eps, grid, prior, gaussian_step(eps, grid, prior, argmin))
     return SolveOutput(strategy=strategy, bayes_risk=total, bayes_risk_no_initial=no_initial)

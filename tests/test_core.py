@@ -14,6 +14,7 @@ from batchbandit.core import (
     UGrid,
     convolve_zero_padded,
     gaussian_kernel,
+    gaussian_kernels,
     loss_profile,
     packet_count,
     transition_variance,
@@ -210,6 +211,48 @@ class TestGaussianKernel:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             gaussian_kernel(-1e-9, UGrid(4.0, 0.01))
+        with pytest.raises(ValueError):
+            gaussian_kernels([0.1, math.nan], UGrid(4.0, 0.01))
+
+
+def _one_kernel(variance, grid):
+    """The one-variance kernel formula, written out as the oracle."""
+    sigma = math.sqrt(variance)
+    if sigma < 0.5 * grid.du:
+        return np.ones(1)
+    half = int(math.ceil(6.0 * sigma / grid.du))
+    offsets = grid.du * np.arange(-half, half + 1)
+    w = np.exp(-0.5 * (offsets / sigma) ** 2)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("grid", [UGrid(), UGrid(2.0, 0.5)], ids=["default", "5-point"])
+@pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.1, 0.02, 0.005])
+def test_diagonal_kernels_are_bitwise_the_one_kernel_formula(epsilon, grid):
+    # every diagonal's kernels, built together, against each built alone;
+    # on the 9-point grid some outgrow the row at eps >= 0.25, and every
+    # diagonal's first kernels are deltas
+    deltas = longer = 0
+    for K in range(1, packet_count(epsilon)):
+        t = K * epsilon
+        kernels = diagonal_kernels(epsilon, grid, K)
+        assert len(kernels) == K + 1
+        for j, kernel in enumerate(kernels):
+            want = _one_kernel(epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)), grid)
+            assert kernel.tobytes() == want.tobytes()
+            deltas += kernel.size == 1
+            longer += kernel.size > grid.n_points
+    assert deltas >= packet_count(epsilon) - 1
+    assert (longer > 0) == (grid.n_points == 9 and epsilon >= 0.25)
+
+
+def test_one_kernel_is_the_formula_bitwise_at_any_variance():
+    grid = UGrid(4.0, 0.01)
+    variances = [0.0, (0.4 * grid.du) ** 2, (0.5 * grid.du) ** 2, 1e-4, 0.0196, 1.0, 4.0]
+    for variance in variances:
+        assert gaussian_kernel(variance, grid).tobytes() == _one_kernel(variance, grid).tobytes()
+    together = gaussian_kernels(variances, grid)
+    assert [k.tobytes() for k in together] == [_one_kernel(v, grid).tobytes() for v in variances]
 
 
 class TestUGrid:

@@ -227,6 +227,17 @@ def _retained_bytes(*configs) -> list[int]:
     return retained
 
 
+def _fresh_spectra(epsilon, grid, K, N) -> np.ndarray:
+    """Diagonal K's kernels, each centred at index 0 of a zero row of
+    length N and wrapped, transformed together: their real spectra."""
+    kernels = diagonal_kernels(epsilon, grid, K)
+    taps = np.zeros((K + 1, N))
+    for j, kernel in enumerate(kernels):
+        half = kernel.size // 2
+        taps[j, np.arange(-half, half + 1) % N] = kernel
+    return np.fft.rfft(taps).real
+
+
 def test_kernels_kept_from_the_second_sweep_on_are_the_fresh_ones():
     grid = UGrid(3.0, 0.02)
     cfgs = [DpConfig(0.1, SymmetricPrior.two_point(d), grid) for d in (1.2, 1.6, 2.0)]
@@ -235,14 +246,16 @@ def test_kernels_kept_from_the_second_sweep_on_are_the_fresh_ones():
     for cfg in cfgs:  # each solve the first on its lattice: nothing kept
         solve_invariant(other, keep_strategy=False)
         fresh_risks.append(solve_invariant(cfg, keep_strategy=False).bayes_risk)
-        assert dp._KERNELS.kept is None
-    # the second solve keeps its kernels, the third runs on them
+        assert dp._KERNELS.spectra is None
+    # the second solve keeps its kernels' spectra, the third runs on them
     assert [solve_invariant(c, keep_strategy=False).bayes_risk for c in cfgs] == fresh_risks
-    kept = dp._KERNELS.kept
-    assert sorted(kept) == list(range(2, 10))
-    for K, kernels in kept.items():
-        fresh = diagonal_kernels(0.1, grid, K)
-        assert [k.tobytes() for k in kernels] == [k.tobytes() for k in fresh]
+    spectra = dp._KERNELS.spectra
+    N = dp._fft_length(grid.n_points, diagonal_kernels(0.1, grid, 9)[-1].size // 2)
+    assert spectra.N == N
+    assert spectra.filled == set(range(2, 10))
+    assert spectra.block.shape == (dp._first_row(10), N // 2 + 1)
+    for K in range(2, 10):
+        assert spectra.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
 
 
 def test_one_sweep_on_a_new_lattice_retains_nothing():
@@ -255,15 +268,16 @@ def test_one_sweep_on_a_new_lattice_retains_nothing():
 
 
 def test_a_lattice_swept_once_releases_the_kernels_kept_before_it():
-    # the crosscheck pattern: eps = 0.02 solves keep their lattice's kernels
-    # (0.87 MB), the one fine Richardson solve keeps none and frees them
+    # the crosscheck pattern: eps = 0.02 solves keep their lattice's kernel
+    # spectra (4.59 MB: 1,272 kernels of 451 coefficients), the one fine
+    # Richardson solve keeps none and frees them
     prior = SymmetricPrior.two_point(1.6)
     grid = UGrid()
     grid.points
     coarse, fine = DpConfig(0.02, prior, grid), DpConfig(0.005, prior, grid)
     solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
     first, second, third, after_fine = _retained_bytes(coarse, coarse, coarse, fine)
-    assert first < 100_000 and second > 800_000
+    assert first < 100_000 and second > 4_500_000
     assert abs(third - second) < 100_000  # the third sweep reuses them
     assert after_fine < 100_000
 
@@ -334,22 +348,100 @@ def test_a_value_only_solve_at_eps_0_005_peaks_under_4_mib():
 
 
 def test_value_and_decision_sweeps_on_one_lattice_keep_only_its_kernels():
-    # the transforms' spectra and work arrays live for one sweep: what a
-    # lattice's sweeps leave behind is its kernels
+    # the transforms' work arrays live for one sweep: what a lattice's
+    # sweeps leave behind is its kernels' spectra, which a decision sweep
+    # neither adds to nor moves
     prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
     grid.points
     cfg = DpConfig(0.1, prior, grid)
     solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
-    retained = []
+    retained, stores = [], []
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for keep_strategy in (False, False, True):  # the second keeps the kernels
+        for keep_strategy in (False, False, True):  # the second keeps the spectra
             solve_invariant(cfg, keep_strategy=keep_strategy)
             retained.append(tracemalloc.get_traced_memory()[0] - before)
+            stores.append(dp._KERNELS.spectra)
     finally:
         tracemalloc.stop()
-    assert sorted(dp._KERNELS.kept) == list(range(2, 10))
-    kernel_bytes = sum(k.nbytes for ks in dp._KERNELS.kept.values() for k in ks)
+    spectra = stores[-1]
+    assert stores[1] is spectra and spectra.filled == set(range(2, 10))
+    spectra_bytes = spectra.block.nbytes
+    assert spectra_bytes == dp._first_row(10) * (spectra.N // 2 + 1) * 8
     assert retained[0] < 20_000
-    assert all(kernel_bytes < r < kernel_bytes + 20_000 for r in retained[1:])
+    assert all(spectra_bytes < r < spectra_bytes + 20_000 for r in retained[1:])
+    assert abs(retained[2] - retained[1]) < 20_000
+    for K in range(2, 10):
+        assert spectra.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, spectra.N).tobytes()
+
+
+def test_spectra_store_keeps_the_smallest_diagonals_that_fit(monkeypatch):
+    grid = UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, SymmetricPrior.two_point(1.6), grid)
+    N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
+    row_bytes = (N // 2 + 1) * 8
+    # room for diagonals 2 .. 11 and one byte short of diagonal 12
+    monkeypatch.setattr(dp, "_SPECTRA_BYTES", (dp._first_row(13) * row_bytes) - 1)
+    solve_invariant(DpConfig(0.25, cfg.prior, grid), keep_strategy=False)  # another lattice
+    for _ in range(3):
+        solve_invariant(cfg, keep_strategy=False)
+    spectra = dp._KERNELS.spectra
+    assert spectra.block.nbytes == dp._first_row(12) * row_bytes <= dp._SPECTRA_BYTES
+    assert [K for K in range(2, 20) if spectra.rows(K) is not None] == list(range(2, 12))
+    assert spectra.filled == set(range(2, 12))
+    for K in range(2, 12):
+        assert spectra.rows(K).tobytes() == _fresh_spectra(0.05, grid, K, N).tobytes()
+    # a cap below the smallest diagonal keeps nothing
+    monkeypatch.setattr(dp, "_SPECTRA_BYTES", 3 * row_bytes - 1)
+    solve_invariant(DpConfig(0.25, cfg.prior, grid), keep_strategy=False)
+    for _ in range(3):
+        solve_invariant(cfg, keep_strategy=False)
+    assert dp._KERNELS.spectra.block.nbytes == 0
+    assert all(dp._KERNELS.spectra.rows(K) is None for K in range(2, 20))
+
+
+@pytest.mark.parametrize("last", [None, 11, 1], ids=["whole", "diagonals-2-11", "none"])
+def test_risks_are_bitwise_equal_however_much_of_the_spectra_is_kept(monkeypatch, last):
+    # the first sweep on a lattice transforms every chunk's kernels, the
+    # second keeps the spectra of the diagonals 2 .. last and reads them,
+    # the third reads them; a decision sweep between leaves them in place
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, prior, grid)
+    if last is not None:
+        N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
+        monkeypatch.setattr(dp, "_SPECTRA_BYTES", dp._first_row(last + 1) * (N // 2 + 1) * 8)
+    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+    risks = [solve_invariant(cfg, keep_strategy=False) for _ in range(3)]
+    solve_invariant(cfg)
+    risks.append(solve_invariant(cfg, keep_strategy=False))
+    kept_rows = dp._first_row(20 if last is None else last + 1)  # diagonals 2 .. 19 or .. last
+    assert len(dp._KERNELS.spectra.block) == kept_rows
+    assert len({(r.bayes_risk, r.bayes_risk_no_initial) for r in risks}) == 1
+
+
+@pytest.mark.parametrize("last", [19, 11], ids=["whole", "diagonals-2-11"])
+def test_a_kept_diagonal_places_no_kernel(monkeypatch, last):
+    # _wrapped places the kernels a chunk transforms: once the spectra are
+    # kept, only the chunks of diagonals beyond them call it
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, prior, grid)
+    N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
+    monkeypatch.setattr(dp, "_SPECTRA_BYTES", dp._first_row(last + 1) * (N // 2 + 1) * 8)
+    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+    solve_invariant(cfg, keep_strategy=False)
+    solve_invariant(cfg, keep_strategy=False)  # keeps the spectra
+    placed = []
+    wrapped = dp._wrapped
+
+    def spy(kernels, n):
+        placed.append(len(kernels))
+        return wrapped(kernels, n)
+
+    monkeypatch.setattr(dp, "_wrapped", spy)
+    solve_invariant(cfg, keep_strategy=False)
+    # each chunk of m <= 16 rows of a diagonal beyond the kept ones places
+    # m kernels for arm 1, then m for arm 2
+    chunks = [min(16, K // 2 + 1 - c0) for K in range(19, last, -1)
+              for c0 in range(0, K // 2 + 1, 16)]
+    assert placed == [m for m in chunks for _ in "12"]
