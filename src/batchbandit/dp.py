@@ -32,8 +32,8 @@ diagonal's kernels and transformed back, and its loss rows are the
 factored ones (core.loss_u_factors, core.loss_tau_factors).  Its values
 agree with the direct convolution's to rounding, which is relative to a
 row's largest value rather than to each cell's.  From a lattice's second
-consecutive sweep on, the spectra are kept (_LatticeKernels, up to
-_SPECTRA_BYTES) and later value sweeps transform no kernel.
+consecutive sweep on, its spectra are kept if they fit in _SPECTRA_BYTES
+(_LatticeKernels), and later value sweeps transform no kernel.
 
 gaussian_step steps every row, for the sweeps that decide per state:
 solve_invariant with a table, which records the argmin as the
@@ -45,8 +45,8 @@ computed.  gaussian_step convolves each row directly
 (core.convolve_zero_padded) and takes the loss rows from core.loss_profile
 (_half_losses), so the tables and the risks pinned on them do not move.
 It and strategy_eval.frozen_losses build each diagonal's transition
-kernels (diagonal_kernels) and work through chunks of rows in place, so a
-decision sweep allocates nothing of a diagonal's size per diagonal.
+kernels (diagonal_kernels); gaussian_step works through chunks of rows in
+place, so it allocates nothing of a diagonal's size per diagonal.
 """
 
 from __future__ import annotations
@@ -225,14 +225,13 @@ def _fft_length(n: int, h: int) -> int:
 # diagonal's length
 _CHUNK_ROWS = 16
 
-# the bytes of kernel spectra one lattice keeps.  eps = 0.02 on the default
-# grid needs 4.59 MB (1,272 kernels of 451 real coefficients) and fits
-# whole; eps = 0.01 (17.5 MB) keeps its diagonals 2 .. 53 and eps = 0.005
-# (70 MB) its diagonals 2 .. 51.  On a 2-core VM, minimax_dp's peak RSS
-# read 38.4-38.6 MB with the whole eps = 0.02 store against 35.6-35.8 MB
-# without one (single 12 s runs), and 38.2 MB with diagonals 2 .. 46 only
-# (4.06 MB), for 0.02 s more a pass: a smaller cap saves little memory,
-# since each pass's peak also holds the saddle check's table and sweep.
+# the bytes of kernel spectra one lattice may keep: a lattice whose spectra
+# exceed it keeps none.  eps = 0.02 on the default grid needs 4.59 MB
+# (1,272 kernels of 451 real coefficients) and is kept; eps = 0.01
+# (17.5 MB) and finer are not, and sweep as a lattice swept once does.
+# On a 2-core VM, minimax_dp's peak RSS read 38.4-38.6 MB with the
+# eps = 0.02 spectra kept against 35.6-35.8 MB without them (single 12 s
+# runs), for about 0.11 s less a pass.
 _SPECTRA_BYTES = 5 << 20
 
 
@@ -247,43 +246,35 @@ def _wrapped(kernels, N: int) -> tuple[np.ndarray, np.ndarray]:
     return rows + (np.arange(weights.size) - centres) % N, weights
 
 
-class _Spectra:
-    """The real spectra, at one lattice's transform length N, of the
-    kernels of its diagonals 2 .. last, in one block laid out as a
-    StrategyTable's rows: diagonal K's from _first_row(K) on, by j as
-    diagonal_kernels returns them.  last is the largest diagonal whose
-    rows fit in _SPECTRA_BYTES with those of every smaller one, so a
-    lattice too large keeps its smallest diagonals.  A diagonal's rows are
-    filled by the first value sweep that reaches it (filled)."""
-
-    def __init__(self, P: int, N: int):
-        F = N // 2 + 1
-        last = P - 1
-        while last >= 2 and _first_row(last + 1) * F * 8 > _SPECTRA_BYTES:
-            last -= 1
-        self.N = N
-        self.block = np.empty((max(_first_row(last + 1), 0), F))
-        self.filled = set()
-
-    def rows(self, K: int) -> np.ndarray | None:
-        """Diagonal K's rows, or None where the block does not reach."""
-        if _first_row(K + 1) > len(self.block):
-            return None
-        return self.block[_first_row(K) : _first_row(K + 1)]
+def _kernel_spectra(kernels, N: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The spectra of the kernels, each centred and wrapped (_wrapped) in
+    one of the leading rows of length N of rows, which it overwrites, into
+    the leading rows of out.  A symmetric kernel's spectrum is real: its
+    imaginary rounding is dropped, so a product with it is the real
+    spectrum's, bit for bit."""
+    m = len(kernels)
+    at, weights = _wrapped(kernels, N)
+    rows[:m] = 0.0
+    np.put(rows, at, weights)
+    np.fft.rfft(rows[:m], out=out[:m])
+    out[:m].imag = 0.0
+    return out[:m]
 
 
 class _LatticeKernels:
     """What the sweeps on one lattice (epsilon, grid) keep while they follow
-    one another: the spectra of its kernels (_Spectra), the form min_step
-    multiplies by.
+    one another: the real spectra of its kernels at the lattice's transform
+    length N, the form min_step multiplies by, in one block laid out as a
+    StrategyTable's rows (diagonal K's from _first_row(K) on, by j as
+    diagonal_kernels returns them).
 
-    A sweep on a lattice other than the last one swept releases what was
-    kept.  From a lattice's second consecutive sweep on, min_step keeps the
-    spectra and reads them on every later value sweep, which then builds
-    and transforms no kernel of a kept diagonal; a lattice swept once, as a
-    fine Richardson solve is, keeps none.  The decision sweeps
-    (gaussian_step, frozen_losses) build each diagonal's taps and drop
-    them, and leave the spectra in place.  No taps are kept.
+    A sweep on a lattice other than the last one swept releases the
+    spectra.  The first value sweep from a lattice's second consecutive
+    sweep on keeps them all, if they fit in _SPECTRA_BYTES, and every later
+    value sweep on it reads them and builds and transforms no kernel; a
+    lattice swept once, as a fine Richardson solve is, keeps none.  The
+    decision sweeps (gaussian_step, frozen_losses) build each diagonal's
+    taps and drop them, and leave the spectra in place.  No taps are kept.
 
     The trade, measured on minimax_dp's eps = 0.02 search (20 value sweeps
     and three decision sweeps a pass): the 4.59 MB of spectra, in place of
@@ -294,16 +285,38 @@ class _LatticeKernels:
 
     def __init__(self):
         self.lattice = None
+        self.N = None
         self.spectra = None
 
     def for_sweep(self, epsilon: float, grid: UGrid) -> bool:
-        """Count one sweep on the lattice (epsilon, grid): True from its
-        second consecutive sweep on."""
+        """Count one sweep on the lattice (epsilon, grid), releasing another
+        lattice's spectra: True from its second consecutive sweep on."""
         lattice = (epsilon, grid.u_max, grid.du)
         if lattice == self.lattice:
             return True
         self.lattice, self.spectra = lattice, None
         return False
+
+    def keep(self, epsilon: float, grid: UGrid, P: int, N: int, rows, out) -> None:
+        """Keep the spectra of the diagonals 2 .. P - 1 at length N, if they
+        fit in _SPECTRA_BYTES, transformed in batches through rows and out
+        (_kernel_spectra); rows is left zero."""
+        F = N // 2 + 1
+        if _first_row(P) * F * 8 > _SPECTRA_BYTES:
+            return
+        spectra = np.empty((_first_row(P), F))
+        for K in range(2, P):
+            kernels = diagonal_kernels(epsilon, grid, K)
+            for r0 in range(0, K + 1, len(rows)):
+                batch = kernels[r0 : r0 + len(rows)]
+                r = _first_row(K) + r0
+                spectra[r : r + len(batch)] = _kernel_spectra(batch, N, rows, out).real
+        rows.fill(0.0)
+        self.N, self.spectra = N, spectra
+
+    def rows(self, K: int) -> np.ndarray:
+        """Diagonal K's kept spectra."""
+        return self.spectra[_first_row(K) : _first_row(K + 1)]
 
 
 _KERNELS = _LatticeKernels()
@@ -386,33 +399,31 @@ def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
     transformed back.  Arm 1 moves row k1 to row k1 + 1 through kernel
     K - k1 and arm 2 keeps it, through kernel k1, so the chunk of rows
     c0 .. c1 - 1 reads the spectra K - c0 down to K - c1 + 1, then
-    c0 .. c1 - 1.  Where the lattice keeps a diagonal's spectra
-    (_LatticeKernels) they are read; elsewhere each arm's kernels are
-    placed centred and wrapped (_wrapped) and transformed in one batch.
-    The loss rows are the factored ones, core.loss_tau_factors times
-    core.loss_u_factors.  The factors and the work arrays are built at the
-    first diagonal, after the sweep's memory check, and reused; the kernels
-    are placed in the rows that held the successor rows, once those are
-    transformed.  The values agree with gaussian_step's to rounding (the
-    risk within 1e-15 at eps = 0.02, 1.1e-14 at eps = 0.005).  A kept
-    spectrum is bitwise the one transformed per chunk, so a lattice's
-    sweeps give bitwise equal risks however much of it is kept.  Each call
-    is one sweep on the lattice for _LatticeKernels."""
+    c0 .. c1 - 1.  Where the lattice keeps its spectra (_LatticeKernels)
+    they are read; elsewhere each arm's kernels are placed centred and
+    wrapped and transformed in one batch (_kernel_spectra), in the rows
+    that held the successor rows once those are transformed.  The loss rows
+    are the factored ones, core.loss_tau_factors times core.loss_u_factors.
+    The factors, the work arrays and the kept spectra are built at the
+    first diagonal, after the sweep's memory check, and reused.  The values
+    agree with gaussian_step's to rounding (the risk within 1e-15 at
+    eps = 0.02, 1.1e-14 at eps = 0.005).  A kept spectrum is bitwise the
+    one transformed per chunk, so a lattice's sweeps give bitwise equal
+    risks whether or not it is kept.  Each call is one sweep on the lattice
+    for _LatticeKernels."""
     keep = _KERNELS.for_sweep(epsilon, grid)
     n, C = grid.n_points, _CHUNK_ROWS
     work = None
 
     def fill(K, succ, out):
         nonlocal work
-        spectra, kernels = _KERNELS.spectra, None
+        kernels = None
         if work is None:
-            if spectra is None:
+            if _KERNELS.spectra is None:
                 kernels = diagonal_kernels(epsilon, grid, K)
                 N = _fft_length(n, kernels[-1].size // 2)
             else:
-                N = spectra.N
-            if keep and spectra is None:
-                spectra = _KERNELS.spectra = _Spectra(K + 1, N)
+                N = _KERNELS.N
             F = N // 2 + 1
             work = (
                 N,
@@ -422,40 +433,24 @@ def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
                 np.empty((C, F), complex),
                 np.empty((C, n)),
             )
+            if keep and _KERNELS.spectra is None:
+                _KERNELS.keep(epsilon, grid, K + 1, N, work[3], work[4])
         N, e_u, e_u_mirror, rows, spec, prod, a2 = work
+        kept = None if _KERNELS.spectra is None else _KERNELS.rows(K)
+        if kept is None and kernels is None:
+            kernels = diagonal_kernels(epsilon, grid, K)
 
-        def transform(kernels, out):
-            """The spectra of up to C + 1 kernels into out, through rows."""
-            at, weights = _wrapped(kernels, N)
-            rows[: len(kernels)] = 0.0
-            np.put(rows, at, weights)
-            np.fft.rfft(rows[: len(kernels)], out=out)
-            np.put(rows, at, 0.0)
-            # a symmetric kernel's spectrum is real: its imaginary rounding
-            # is dropped, and the products are the real spectra's, bit for bit
-            out.imag = 0.0
-
-        def convolved(arm, succ_spec):
+        def convolved(js, succ_spec):
             """The successor rows whose spectra are succ_spec, each through
-            its kernel in arm: kept spectra, or kernels transformed here."""
+            diagonal K's kernel js: kept spectra, or transformed here."""
             m = len(succ_spec)
-            if isinstance(arm, list):
-                transform(arm, prod[:m])
-                prod[:m] *= succ_spec
+            if kept is None:
+                kspec = _kernel_spectra(kernels[js], N, rows, prod)
             else:
-                np.multiply(succ_spec, arm, out=prod[:m])
+                kspec = kept[js]
+            np.multiply(succ_spec, kspec, out=prod[:m])
             return np.fft.irfft(prod[:m], N, out=rows[:m])[:, :n]
 
-        kept = spectra.rows(K) if spectra is not None else None
-        if kernels is None and (kept is None or K not in spectra.filled):
-            kernels = diagonal_kernels(epsilon, grid, K)
-        if kept is not None and K not in spectra.filled:
-            for r0 in range(0, K + 1, C + 1):
-                r1 = min(r0 + C + 1, K + 1)
-                transform(kernels[r0:r1], spec[: r1 - r0])
-                kept[r0:r1] = spec[: r1 - r0].real
-            spectra.filled.add(K)
-        arms = kernels if kept is None else kept
         e_tau = loss_tau_factors(prior, epsilon, K, len(out))
         for c0 in range(0, len(out), C):
             c1 = min(c0 + C, len(out))
@@ -463,9 +458,9 @@ def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
             rows[: m + 1, :n] = succ[c0 : c1 + 1]
             np.fft.rfft(rows[: m + 1], out=spec[: m + 1])
             a1 = np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u, out=out[c0:c1])
-            a1 += convolved(arms[K - c0 : K - c1 : -1], spec[1 : m + 1])
+            a1 += convolved(slice(K - c0, K - c1, -1), spec[1 : m + 1])
             np.einsum("aj,au->ju", e_tau[:, c0:c1], e_u_mirror, out=a2[:m])
-            a2[:m] += convolved(arms[c0:c1], spec[:m])
+            a2[:m] += convolved(slice(c0, c1), spec[:m])
             np.minimum(a1, a2[:m], out=a1)
             rows[:m, n:] = 0.0  # zero-padding for the next chunk's successor rows
 

@@ -50,7 +50,6 @@ from .core import (
     convolve_zero_padded,
 )
 from .dp import (
-    _CHUNK_ROWS,
     _KERNELS,
     DpConfig,
     StrategyTable,
@@ -110,54 +109,38 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
             raise ConfigurationError("gaps must be 1-D, each positive and finite, 2*w^2 finite")
     # exp(-2*u*w), factored out of every diagonal, clipped as the loss
     # profile clips its exponent: finite at every gap
-    e_u = np.multiply.outer(u, -2.0 * w)
-    np.exp(np.minimum(e_u, EXP_CLIP, out=e_u), out=e_u)
+    e_u = np.exp(np.minimum(np.multiply.outer(u, -2.0 * w), EXP_CLIP))
     sums = np.zeros(w.size)
-    # the density, one row per k1: diagonal K's rows, overwritten by K + 1's
-    # as the chunks go; rows beyond K + 1 stay 0.  It starts as the
-    # statistic after the two forced batches, N(0, eps/2) on row (1, 1), the
-    # weights the backward sweep's risk assembly integrates against
-    rho = np.zeros((P + 1, u.size))
+    # the statistic after the two forced batches: N(0, eps/2) on row (1, 1),
+    # the weights the backward sweep's risk assembly integrates against
     idx, weights = centered_gaussian_weights(grid, 0.5 * eps)
+    # one diagonal-sized buffer each for the density, its successor and the
+    # arm-1 part, reused: fresh arrays of a size growing with K on every
+    # diagonal raised the process's peak RSS
+    buf = np.zeros((3, P + 1, u.size))
+    rho = buf[0, :3]
     rho[1, idx] = weights
-    # a chunk's arm-1 part and played mass, and the played mass folded;
-    # fresh arrays of a diagonal's size on every diagonal raised the
-    # process's peak RSS
-    work = np.empty((2, _CHUNK_ROWS, u.size))
-    folded = np.empty((P // 2 + 1, u.size))
     _KERNELS.for_sweep(eps, grid)
     for K in range(2, P):
         arm1 = strategy.diagonal(K)
+        on1, on2 = np.multiply(rho, arm1, out=buf[2, : K + 1]), rho
+        np.putmask(on2, arm1, 0.0)  # the arm-2 part, in place
+        if K + 1 < P:  # mass reaching the terminal diagonal adds nothing
+            kernels = diagonal_kernels(eps, grid, K)
+            rho = buf[1 - K % 2, : K + 2]
+            rho.fill(0.0)
+            for r in range(K + 1):
+                rho[r + 1] += convolve_zero_padded(on1[r], kernels[K - r])
+                rho[r] += convolve_zero_padded(on2[r], kernels[r])
+        played = on1  # folded in place onto the rows k1 <= K/2
+        played += on2[:, ::-1]
         H = K // 2 + 1
-        # mass reaching the terminal diagonal adds nothing
-        kernels = diagonal_kernels(eps, grid, K) if K + 1 < P else None
-        for c1 in range(K + 1, 0, -_CHUNK_ROWS):  # from the last row down
-            c0 = max(c1 - _CHUNK_ROWS, 0)
-            on1, played = work[:, : c1 - c0]
-            on2 = rho[c0:c1]
-            np.multiply(on2, arm1[c0:c1], out=on1)
-            np.putmask(on2, arm1[c0:c1], 0.0)  # the arm-2 part, in place
-            np.add(on1, on2[:, ::-1], out=played)
-            # row r >= H folds onto row K - r < H, so it goes there first;
-            # the rows r <= K - H then add their own, and the middle row of
-            # an even K stands alone
-            top = max(c0, H)
-            folded[K - c1 + 1 : K - top + 1] = played[top - c0 :][::-1]
-            add = max(c0, min(c1, K - H + 1))
-            np.add(played[: add - c0], folded[c0:add], out=folded[c0:add])
-            mid = max(add, min(c1, H))
-            folded[add:mid] = played[add - c0 : mid - c0]
-            if kernels is not None:
-                # row r of K + 1 gets the arm-2 part of row r and the arm-1
-                # part of row r - 1; rows above c1 - 1 are K + 1's already
-                for r in range(c1 - 1, c0 - 1, -1):
-                    rho[r + 1] += convolve_zero_padded(on1[r - c0], kernels[K - r])
-                    rho[r] = convolve_zero_padded(on2[r - c0], kernels[r])
+        played[: K - H + 1] += played[H:][::-1]
         j = np.arange(H)
         t1, t2 = j * eps, (K - j) * eps
         tau = t1 * t2 / (t1 + t2)
         e_tau = np.exp(np.multiply.outer(tau, -2.0 * w * w))
-        sums += np.einsum("ja,ja->a", e_tau, folded[:H] @ e_u)
+        sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
     no_initial = w * sums * eps  # w times each gap's weighed exponentials, times eps
     if not np.isfinite(no_initial).all():
         raise InternalError("non-finite loss in the forward sweep")

@@ -249,13 +249,11 @@ def test_kernels_kept_from_the_second_sweep_on_are_the_fresh_ones():
         assert dp._KERNELS.spectra is None
     # the second solve keeps its kernels' spectra, the third runs on them
     assert [solve_invariant(c, keep_strategy=False).bayes_risk for c in cfgs] == fresh_risks
-    spectra = dp._KERNELS.spectra
     N = dp._fft_length(grid.n_points, diagonal_kernels(0.1, grid, 9)[-1].size // 2)
-    assert spectra.N == N
-    assert spectra.filled == set(range(2, 10))
-    assert spectra.block.shape == (dp._first_row(10), N // 2 + 1)
+    assert dp._KERNELS.N == N
+    assert dp._KERNELS.spectra.shape == (dp._first_row(10), N // 2 + 1)
     for K in range(2, 10):
-        assert spectra.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
+        assert dp._KERNELS.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
 
 
 def test_one_sweep_on_a_new_lattice_retains_nothing():
@@ -365,72 +363,44 @@ def test_value_and_decision_sweeps_on_one_lattice_keep_only_its_kernels():
             stores.append(dp._KERNELS.spectra)
     finally:
         tracemalloc.stop()
-    spectra = stores[-1]
-    assert stores[1] is spectra and spectra.filled == set(range(2, 10))
-    spectra_bytes = spectra.block.nbytes
-    assert spectra_bytes == dp._first_row(10) * (spectra.N // 2 + 1) * 8
+    assert stores[1] is stores[2]
+    N = dp._KERNELS.N
+    spectra_bytes = stores[2].nbytes
+    assert spectra_bytes == dp._first_row(10) * (N // 2 + 1) * 8
     assert retained[0] < 20_000
     assert all(spectra_bytes < r < spectra_bytes + 20_000 for r in retained[1:])
     assert abs(retained[2] - retained[1]) < 20_000
     for K in range(2, 10):
-        assert spectra.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, spectra.N).tobytes()
+        assert dp._KERNELS.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
 
 
-def test_spectra_store_keeps_the_smallest_diagonals_that_fit(monkeypatch):
-    grid = UGrid(3.0, 0.02)
-    cfg = DpConfig(0.05, SymmetricPrior.two_point(1.6), grid)
-    N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
-    row_bytes = (N // 2 + 1) * 8
-    # room for diagonals 2 .. 11 and one byte short of diagonal 12
-    monkeypatch.setattr(dp, "_SPECTRA_BYTES", (dp._first_row(13) * row_bytes) - 1)
-    solve_invariant(DpConfig(0.25, cfg.prior, grid), keep_strategy=False)  # another lattice
-    for _ in range(3):
-        solve_invariant(cfg, keep_strategy=False)
-    spectra = dp._KERNELS.spectra
-    assert spectra.block.nbytes == dp._first_row(12) * row_bytes <= dp._SPECTRA_BYTES
-    assert [K for K in range(2, 20) if spectra.rows(K) is not None] == list(range(2, 12))
-    assert spectra.filled == set(range(2, 12))
-    for K in range(2, 12):
-        assert spectra.rows(K).tobytes() == _fresh_spectra(0.05, grid, K, N).tobytes()
-    # a cap below the smallest diagonal keeps nothing
-    monkeypatch.setattr(dp, "_SPECTRA_BYTES", 3 * row_bytes - 1)
-    solve_invariant(DpConfig(0.25, cfg.prior, grid), keep_strategy=False)
-    for _ in range(3):
-        solve_invariant(cfg, keep_strategy=False)
-    assert dp._KERNELS.spectra.block.nbytes == 0
-    assert all(dp._KERNELS.spectra.rows(K) is None for K in range(2, 20))
-
-
-@pytest.mark.parametrize("last", [None, 11, 1], ids=["whole", "diagonals-2-11", "none"])
-def test_risks_are_bitwise_equal_however_much_of_the_spectra_is_kept(monkeypatch, last):
-    # the first sweep on a lattice transforms every chunk's kernels, the
-    # second keeps the spectra of the diagonals 2 .. last and reads them,
-    # the third reads them; a decision sweep between leaves them in place
-    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
-    cfg = DpConfig(0.05, prior, grid)
-    if last is not None:
-        N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
-        monkeypatch.setattr(dp, "_SPECTRA_BYTES", dp._first_row(last + 1) * (N // 2 + 1) * 8)
-    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
-    risks = [solve_invariant(cfg, keep_strategy=False) for _ in range(3)]
-    solve_invariant(cfg)
-    risks.append(solve_invariant(cfg, keep_strategy=False))
-    kept_rows = dp._first_row(20 if last is None else last + 1)  # diagonals 2 .. 19 or .. last
-    assert len(dp._KERNELS.spectra.block) == kept_rows
-    assert len({(r.bayes_risk, r.bayes_risk_no_initial) for r in risks}) == 1
-
-
-@pytest.mark.parametrize("last", [19, 11], ids=["whole", "diagonals-2-11"])
-def test_a_kept_diagonal_places_no_kernel(monkeypatch, last):
-    # _wrapped places the kernels a chunk transforms: once the spectra are
-    # kept, only the chunks of diagonals beyond them call it
+def test_a_lattice_keeps_all_its_spectra_or_none(monkeypatch):
+    # the spectra of eps = 0.05's diagonals 2 .. 19 are kept under a cap of
+    # their bytes and not at all one byte below it; the first, second and
+    # third sweeps' risks are bitwise equal either way
     prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
     cfg = DpConfig(0.05, prior, grid)
     N = dp._fft_length(grid.n_points, diagonal_kernels(0.05, grid, 19)[-1].size // 2)
-    monkeypatch.setattr(dp, "_SPECTRA_BYTES", dp._first_row(last + 1) * (N // 2 + 1) * 8)
+    whole = dp._first_row(20) * (N // 2 + 1) * 8
+    risks = []
+    for cap, kept in ((whole, whole), (whole - 1, None)):
+        monkeypatch.setattr(dp, "_SPECTRA_BYTES", cap)
+        solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+        for _ in range(3):
+            r = solve_invariant(cfg, keep_strategy=False)
+            risks.append((r.bayes_risk, r.bayes_risk_no_initial))
+        spectra = dp._KERNELS.spectra
+        assert (None if spectra is None else spectra.nbytes) == kept
+    assert len(set(risks)) == 1
+
+
+def test_a_kept_lattice_places_no_kernel(monkeypatch):
+    # _wrapped places the kernels a chunk transforms: the first sweep on a
+    # lattice places m kernels for arm 1, then m for arm 2, per chunk of
+    # m <= 16 rows; once the second has kept the spectra, a sweep places none
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, prior, grid)
     solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
-    solve_invariant(cfg, keep_strategy=False)
-    solve_invariant(cfg, keep_strategy=False)  # keeps the spectra
     placed = []
     wrapped = dp._wrapped
 
@@ -440,8 +410,10 @@ def test_a_kept_diagonal_places_no_kernel(monkeypatch, last):
 
     monkeypatch.setattr(dp, "_wrapped", spy)
     solve_invariant(cfg, keep_strategy=False)
-    # each chunk of m <= 16 rows of a diagonal beyond the kept ones places
-    # m kernels for arm 1, then m for arm 2
-    chunks = [min(16, K // 2 + 1 - c0) for K in range(19, last, -1)
-              for c0 in range(0, K // 2 + 1, 16)]
+    chunks = [min(16, K // 2 + 1 - c0) for K in range(19, 1, -1) for c0 in range(0, K // 2 + 1, 16)]
     assert placed == [m for m in chunks for _ in "12"]
+    solve_invariant(cfg, keep_strategy=False)  # keeps the spectra
+    assert dp._KERNELS.spectra is not None
+    placed.clear()
+    solve_invariant(cfg, keep_strategy=False)
+    assert placed == []
