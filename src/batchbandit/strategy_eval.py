@@ -99,7 +99,8 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     arm-2 part stays on row k1 through kernel k1.  The played mass folds onto
     the rows k1 <= K/2 (g1 is equal on rows k1 and K - k1, and g2 is g1
     mirrored in u), where every gap's loss weighs it at once (see the module
-    docstring).  At most two diagonals of density are alive at once.
+    docstring).  One diagonal of density is alive: the rows go from the
+    last down, each overwritten by diagonal K + 1's once it is read.
     """
     eps, grid, P = strategy.epsilon, strategy.grid, strategy.n_packets
     u = grid.points
@@ -114,33 +115,37 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     # the statistic after the two forced batches: N(0, eps/2) on row (1, 1),
     # the weights the backward sweep's risk assembly integrates against
     idx, weights = centered_gaussian_weights(grid, 0.5 * eps)
-    # one diagonal-sized buffer each for the density, its successor and the
-    # arm-1 part, reused: fresh arrays of a size growing with K on every
-    # diagonal raised the process's peak RSS
-    buf = np.zeros((3, P + 1, u.size))
-    rho = buf[0, :3]
+    # the density by k1 and the played mass folded onto the rows k1 <= K/2,
+    # reused: buffers of a diagonal's size for the successor density and the
+    # arm-1 part raised minimax_dp's peak RSS by about 0.8 MB
+    rho = np.zeros((P + 1, u.size))
     rho[1, idx] = weights
+    folded = np.empty((P // 2 + 1, u.size))
     _KERNELS.for_sweep(eps, grid)
     for K in range(2, P):
         arm1 = strategy.diagonal(K)
-        on1, on2 = np.multiply(rho, arm1, out=buf[2, : K + 1]), rho
-        np.putmask(on2, arm1, 0.0)  # the arm-2 part, in place
-        if K + 1 < P:  # mass reaching the terminal diagonal adds nothing
-            kernels = diagonal_kernels(eps, grid, K)
-            rho = buf[1 - K % 2, : K + 2]
-            rho.fill(0.0)
-            for r in range(K + 1):
-                rho[r + 1] += convolve_zero_padded(on1[r], kernels[K - r])
-                rho[r] += convolve_zero_padded(on2[r], kernels[r])
-        played = on1  # folded in place onto the rows k1 <= K/2
-        played += on2[:, ::-1]
         H = K // 2 + 1
-        played[: K - H + 1] += played[H:][::-1]
+        # mass reaching the terminal diagonal adds nothing
+        kernels = diagonal_kernels(eps, grid, K) if K + 1 < P else None
+        for r in range(K, -1, -1):
+            on1, on2 = rho[r] * arm1[r], rho[r]
+            np.putmask(on2, arm1[r], 0.0)  # the arm-2 part, in place
+            played = on1 + on2[::-1]
+            if r >= H:  # row r folds onto row K - r, which comes later
+                folded[K - r] = played
+            elif r <= K - H:
+                folded[r] += played
+            else:  # the middle row of an even K
+                folded[r] = played
+            if kernels is not None:
+                # row r + 1 holds K + 1's row already; row r is read
+                rho[r + 1] += convolve_zero_padded(on1, kernels[K - r])
+                rho[r] = convolve_zero_padded(on2, kernels[r])
         j = np.arange(H)
         t1, t2 = j * eps, (K - j) * eps
         tau = t1 * t2 / (t1 + t2)
         e_tau = np.exp(np.multiply.outer(tau, -2.0 * w * w))
-        sums += np.einsum("ja,ja->a", e_tau, played[:H] @ e_u)
+        sums += np.einsum("ja,ja->a", e_tau, folded[:H] @ e_u)
     no_initial = w * sums * eps  # w times each gap's weighed exponentials, times eps
     if not np.isfinite(no_initial).all():
         raise InternalError("non-finite loss in the forward sweep")
