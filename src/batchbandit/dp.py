@@ -229,9 +229,9 @@ _CHUNK_ROWS = 16
 # exceed it keeps none.  eps = 0.02 on the default grid needs 4.59 MB
 # (1,272 kernels of 451 real coefficients) and is kept; eps = 0.01
 # (17.5 MB) and finer are not, and sweep as a lattice swept once does.
-# On a 2-core VM, minimax_dp's peak RSS read 38.4-38.6 MB with the
-# eps = 0.02 spectra kept against 35.6-35.8 MB without them (single 12 s
-# runs), for about 0.11 s less a pass.
+# Over 10 alternating pairs of 55 s runs on a 2-core VM, minimax_dp's
+# peak RSS read 39.19 MB with the eps = 0.02 spectra kept against 36.09 MB
+# with its 0.87 MB of taps kept, and its pass 0.356 s against 0.464 s.
 _SPECTRA_BYTES = 5 << 20
 
 
@@ -279,8 +279,8 @@ class _LatticeKernels:
     The trade, measured on minimax_dp's eps = 0.02 search (20 value sweeps
     and three decision sweeps a pass): the 4.59 MB of spectra, in place of
     the 0.87 MB of taps kept before, cut a value sweep from about 16 ms to
-    11 ms and add about 4 ms to each decision sweep for its kernels, and
-    raise the pass's peak RSS by about 8 % (see _SPECTRA_BYTES).
+    11 ms and add 4-7 ms to each decision sweep for its kernels, and
+    raise the process's peak RSS by 8.6 % (see _SPECTRA_BYTES).
     """
 
     def __init__(self):
