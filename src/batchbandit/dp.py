@@ -31,9 +31,12 @@ transformed once per chunk of rows, multiplied by the real spectra of the
 diagonal's kernels and transformed back, and its loss rows are the
 factored ones (core.loss_u_factors, core.loss_tau_factors).  Its values
 agree with the direct convolution's to rounding, which is relative to a
-row's largest value rather than to each cell's.  From a lattice's second
-consecutive sweep on, its spectra are kept if they fit in _SPECTRA_BYTES
-(_LatticeKernels), and later value sweeps transform no kernel.
+row's largest value rather than to each cell's.  The spectra follow one
+rule (_lattice_spectra): one lattice (epsilon, grid) at a time keeps all
+of its kernels' spectra, built at its first value sweep if they fit in
+_SPECTRA_BYTES and released at the first value sweep on another lattice;
+a lattice that does not fit transforms each diagonal's kernels once per
+sweep.  The decision sweeps neither read nor change what is kept.
 
 gaussian_step steps every row, for the sweeps that decide per state:
 solve_invariant with a table, which records the argmin as the
@@ -64,6 +67,7 @@ from .core import (
     UGrid,
     centered_gaussian_weights,
     convolve_zero_padded,
+    gaussian_kernel,
     gaussian_kernels,
     loss_profile,
     loss_tau_factors,
@@ -82,10 +86,10 @@ class DpConfig:
 
     def __post_init__(self):
         P = packet_count(self.epsilon)
-        # the transition variance eps*t/(t+eps) grows with t, so the last
-        # interior diagonal K = P - 1 has the widest kernel
-        eps, t = self.epsilon, (P - 1) * self.epsilon
-        if P > 2 and self.grid.du > 3.0 * math.sqrt(eps * t * t / (t * (t + eps))):
+        # the transition variance grows with j and t, so the last interior
+        # diagonal K = P - 1 has the widest kernel, j = P - 1
+        widest = _transition_variance(self.epsilon, P - 1, P - 1)
+        if P > 2 and self.grid.du > 3.0 * math.sqrt(widest):
             raise ConfigurationError(
                 f"du={self.grid.du} exceeds 3x the largest transition sigma at every "
                 "interior stage; the grid cannot resolve any kernel"
@@ -196,13 +200,17 @@ def _half_losses(epsilon: float, grid: UGrid, prior: SymmetricPrior, K: int) -> 
     return half
 
 
+def _transition_variance(epsilon: float, K: int, j: int) -> float:
+    """The variance of kernel j from diagonal K to K + 1, eps*t_j^2/(t*(t + eps))."""
+    t = K * epsilon
+    return epsilon * (j * epsilon) ** 2 / (t * (t + epsilon))
+
+
 def diagonal_kernels(epsilon: float, grid: UGrid, K: int) -> list[np.ndarray]:
     """Transition kernels from diagonal K to K + 1, indexed by j, the batches
     on the arm not played: arm 1 moves row k1 through kernel K - k1, arm 2
     through kernel k1, so the one set serves both actions."""
-    t = K * epsilon
-    variances = [epsilon * (j * epsilon) ** 2 / (t * (t + epsilon)) for j in range(K + 1)]
-    return gaussian_kernels(variances, grid)
+    return gaussian_kernels([_transition_variance(epsilon, K, j) for j in range(K + 1)], grid)
 
 
 def _fft_length(n: int, h: int) -> int:
@@ -225,13 +233,19 @@ def _fft_length(n: int, h: int) -> int:
 # diagonal's length
 _CHUNK_ROWS = 16
 
-# the bytes of kernel spectra one lattice may keep: a lattice whose spectra
-# exceed it keeps none.  eps = 0.02 on the default grid needs 4.59 MB
-# (1,272 kernels of 451 real coefficients) and is kept; eps = 0.01
-# (17.5 MB) and finer are not, and sweep as a lattice swept once does.
-# Over 10 alternating pairs of 55 s runs on a 2-core VM, minimax_dp's
-# peak RSS read 39.19 MB with the eps = 0.02 spectra kept against 36.09 MB
-# with its 0.87 MB of taps kept, and its pass 0.356 s against 0.464 s.
+# the bytes of kernel spectra the one kept lattice may hold: a lattice whose
+# spectra fit keeps them all from its first value sweep on, until a value
+# sweep on another lattice; one whose spectra exceed it keeps none and
+# transforms each diagonal's kernels once per sweep (_lattice_spectra).
+# eps = 0.02 on the default grid needs 4.59 MB (1,272 kernels of 451 real
+# coefficients) and is kept; eps = 0.01 (17.5 MB) and finer are not: the
+# benchmark has minimax_dp's eps = 0.02 search on one side of the cap and
+# crosscheck's fine Richardson solves on the other.  Over 10 alternating
+# pairs of 55 s runs on a 2-core VM, minimax_dp's peak RSS read 39.19 MB
+# with the eps = 0.02 spectra kept against 36.09 MB with its 0.87 MB of taps
+# kept, and its pass 0.356 s against 0.464 s.  A lattice that fits and is
+# swept once keeps its block too: one solve at eps = 0.02 peaks at 35.8 MB
+# of RSS against 31.4 MB without it, in the same 30 ms.
 _SPECTRA_BYTES = 5 << 20
 
 
@@ -246,80 +260,54 @@ def _wrapped(kernels, N: int) -> tuple[np.ndarray, np.ndarray]:
     return rows + (np.arange(weights.size) - centres) % N, weights
 
 
-def _kernel_spectra(kernels, N: int, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The spectra of the kernels, each centred and wrapped (_wrapped) in
-    one of the leading rows of length N of rows, which it overwrites, into
-    the leading rows of out.  A symmetric kernel's spectrum is real: its
-    imaginary rounding is dropped, so a product with it is the real
-    spectrum's, bit for bit."""
-    m = len(kernels)
-    at, weights = _wrapped(kernels, N)
-    rows[:m] = 0.0
-    np.put(rows, at, weights)
-    np.fft.rfft(rows[:m], out=out[:m])
-    out[:m].imag = 0.0
-    return out[:m]
-
-
-class _LatticeKernels:
-    """What the sweeps on one lattice (epsilon, grid) keep while they follow
-    one another: the real spectra of its kernels at the lattice's transform
-    length N, the form min_step multiplies by, in one block laid out as a
-    StrategyTable's rows (diagonal K's from _first_row(K) on, by j as
-    diagonal_kernels returns them).
-
-    A sweep on a lattice other than the last one swept releases the
-    spectra.  The first value sweep from a lattice's second consecutive
-    sweep on keeps them all, if they fit in _SPECTRA_BYTES, and every later
-    value sweep on it reads them and builds and transforms no kernel; a
-    lattice swept once, as a fine Richardson solve is, keeps none.  The
-    decision sweeps (gaussian_step, frozen_losses) build each diagonal's
-    taps and drop them, and leave the spectra in place.  No taps are kept.
-
-    The trade, measured on minimax_dp's eps = 0.02 search (20 value sweeps
-    and three decision sweeps a pass): the 4.59 MB of spectra, in place of
-    the 0.87 MB of taps kept before, cut a value sweep from about 16 ms to
-    11 ms and add 4-7 ms to each decision sweep for its kernels, and
-    raise the process's peak RSS by 8.6 % (see _SPECTRA_BYTES).
-    """
-
-    def __init__(self):
-        self.lattice = None
-        self.N = None
-        self.spectra = None
-
-    def for_sweep(self, epsilon: float, grid: UGrid) -> bool:
-        """Count one sweep on the lattice (epsilon, grid), releasing another
-        lattice's spectra: True from its second consecutive sweep on."""
-        lattice = (epsilon, grid.u_max, grid.du)
-        if lattice == self.lattice:
-            return True
-        self.lattice, self.spectra = lattice, None
-        return False
-
-    def keep(self, epsilon: float, grid: UGrid, P: int, N: int, rows, out) -> None:
-        """Keep the spectra of the diagonals 2 .. P - 1 at length N, if they
-        fit in _SPECTRA_BYTES, transformed in batches through rows and out
-        (_kernel_spectra); rows is left zero."""
-        F = N // 2 + 1
-        if _first_row(P) * F * 8 > _SPECTRA_BYTES:
-            return
-        spectra = np.empty((_first_row(P), F))
-        for K in range(2, P):
-            kernels = diagonal_kernels(epsilon, grid, K)
-            for r0 in range(0, K + 1, len(rows)):
-                batch = kernels[r0 : r0 + len(rows)]
-                r = _first_row(K) + r0
-                spectra[r : r + len(batch)] = _kernel_spectra(batch, N, rows, out).real
+def _diagonal_spectra(epsilon: float, grid: UGrid, K: int, out, rows, spec) -> np.ndarray:
+    """The real spectra of diagonal K's kernels, by j, at the length N of
+    rows' rows, in the leading K + 1 rows of out, which it returns.  The
+    kernels are placed centred and wrapped (_wrapped), len(rows) at a time,
+    in rows and transformed through spec; rows is left zero.  A symmetric
+    kernel's spectrum is real: its imaginary rounding is dropped, so a
+    product with it is the complex spectrum's, bit for bit."""
+    kernels = diagonal_kernels(epsilon, grid, K)
+    for r0 in range(0, K + 1, len(rows)):
+        batch = kernels[r0 : r0 + len(rows)]
+        m = len(batch)
         rows.fill(0.0)
-        self.N, self.spectra = N, spectra
+        np.put(rows, *_wrapped(batch, rows.shape[1]))
+        np.fft.rfft(rows[:m], out=spec[:m])
+        out[r0 : r0 + m] = spec[:m].real
+    rows.fill(0.0)
+    return out[: K + 1]
 
-    def rows(self, K: int) -> np.ndarray:
-        """Diagonal K's kept spectra."""
-        return self.spectra[_first_row(K) : _first_row(K + 1)]
+
+# the one kept lattice: {(epsilon, grid): (N, spectra or None)}
+_SLOT: dict = {}
 
 
-_KERNELS = _LatticeKernels()
+def _lattice_spectra(epsilon: float, grid: UGrid) -> tuple[int, np.ndarray | None]:
+    """The lattice's transform length N and, if they fit in _SPECTRA_BYTES,
+    the real spectra of all its kernels at N in one block laid out as a
+    StrategyTable's rows (diagonal K's from _first_row(K) on, by j), else
+    None.  N is set by the widest kernel, j = K = P - 1 (_fft_length).
+
+    One lattice is kept: the first call on a lattice releases the one held
+    before and only then builds the block (_diagonal_spectra), so two
+    blocks are never held at once; later calls on it return the same
+    block."""
+    key = (epsilon, grid)
+    if key not in _SLOT:
+        _SLOT.clear()
+        P = packet_count(epsilon)
+        widest = gaussian_kernel(_transition_variance(epsilon, P - 1, P - 1), grid)
+        N = _fft_length(grid.n_points, widest.size // 2)
+        F = N // 2 + 1
+        spectra = None
+        if _first_row(P) * F * 8 <= _SPECTRA_BYTES:
+            spectra = np.empty((_first_row(P), F))
+            rows, spec = np.zeros((_CHUNK_ROWS + 1, N)), np.empty((_CHUNK_ROWS + 1, F), complex)
+            for K in range(2, P):
+                _diagonal_spectra(epsilon, grid, K, spectra[_first_row(K) :], rows, spec)
+        _SLOT[key] = N, spectra
+    return _SLOT[key]
 
 
 def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, choose):
@@ -333,9 +321,7 @@ def gaussian_step(epsilon: float, grid: UGrid, prior: SymmetricPrior, choose):
     the first diagonal.  Row k1 reads the successor rows k1 and k1 + 1, so
     each chunk's rows overwrite the successor rows below it, which no later
     chunk reads, and the step returns a leading block of succ: a sweep
-    allocates no rows of a diagonal's size beyond backward_sweep's own.
-    Each call is one sweep on the lattice for _LatticeKernels."""
-    _KERNELS.for_sweep(epsilon, grid)
+    allocates no rows of a diagonal's size beyond backward_sweep's own."""
     work = None
 
     def step(K, succ):
@@ -391,64 +377,54 @@ def min_step(epsilon: float, grid: UGrid, prior: SymmetricPrior):
     """backward_sweep's step for the exact recursion's values alone: the
     plain minimum of the two actions on the rows k1 <= K/2 (half_step).
 
-    Both actions' convolutions go through one transform length N per
-    lattice, set by its widest kernel, the last of diagonal P - 1, the
-    first one swept (_fft_length).  In chunks of _CHUNK_ROWS rows, the
-    successor rows a chunk reads are zero-padded to N and transformed once,
-    multiplied by the real spectra of the chunk's kernels for each arm and
-    transformed back.  Arm 1 moves row k1 to row k1 + 1 through kernel
-    K - k1 and arm 2 keeps it, through kernel k1, so the chunk of rows
-    c0 .. c1 - 1 reads the spectra K - c0 down to K - c1 + 1, then
-    c0 .. c1 - 1.  Where the lattice keeps its spectra (_LatticeKernels)
-    they are read; elsewhere each arm's kernels are placed centred and
-    wrapped and transformed in one batch (_kernel_spectra), in the rows
-    that held the successor rows once those are transformed.  The loss rows
-    are the factored ones, core.loss_tau_factors times core.loss_u_factors.
-    The factors, the work arrays and the kept spectra are built at the
-    first diagonal, after the sweep's memory check, and reused.  The values
-    agree with gaussian_step's to rounding (the risk within 1e-15 at
-    eps = 0.02, 1.1e-14 at eps = 0.005).  A kept spectrum is bitwise the
-    one transformed per chunk, so a lattice's sweeps give bitwise equal
-    risks whether or not it is kept.  Each call is one sweep on the lattice
-    for _LatticeKernels."""
-    keep = _KERNELS.for_sweep(epsilon, grid)
+    Both actions' convolutions go through the lattice's one transform
+    length N.  In chunks of _CHUNK_ROWS rows, the successor rows a chunk
+    reads are zero-padded to N and transformed once, multiplied by the real
+    spectra of the chunk's kernels for each arm and transformed back.  Arm
+    1 moves row k1 to row k1 + 1 through kernel K - k1 and arm 2 keeps it,
+    through kernel k1, so the chunk of rows c0 .. c1 - 1 reads the spectra
+    K - c0 down to K - c1 + 1, then c0 .. c1 - 1.  Diagonal K's spectra
+    come by one rule (_lattice_spectra): the kept block's rows where the
+    lattice fits in _SPECTRA_BYTES, the block built at the lattice's first
+    value sweep, and otherwise one buffer that each diagonal's K + 1
+    spectra overwrite, each kernel placed once, through the builder the
+    block uses (_diagonal_spectra).  The loss rows are the factored ones,
+    core.loss_tau_factors times core.loss_u_factors.  N, the spectra, the
+    factors and the work arrays are taken at the first diagonal, after the
+    sweep's memory check, and reused.  The values agree with gaussian_step's
+    to rounding (the risk within 1e-15 at eps = 0.02, 1.1e-14 at
+    eps = 0.005).  A kept spectrum is bitwise the one a diagonal's buffer
+    holds, so the risks are bitwise equal whether or not the lattice is
+    kept."""
     n, C = grid.n_points, _CHUNK_ROWS
     work = None
 
     def fill(K, succ, out):
         nonlocal work
-        kernels = None
         if work is None:
-            if _KERNELS.spectra is None:
-                kernels = diagonal_kernels(epsilon, grid, K)
-                N = _fft_length(n, kernels[-1].size // 2)
-            else:
-                N = _KERNELS.N
+            N, kept = _lattice_spectra(epsilon, grid)
             F = N // 2 + 1
             work = (
                 N,
+                kept,
                 *loss_u_factors(prior, grid),
-                np.zeros((C + 1, N)),  # successor rows zero-padded to N, or kernels
+                np.zeros((C + 1, N)),  # successor rows zero-padded to N
                 np.empty((C + 1, F), complex),
                 np.empty((C, F), complex),
                 np.empty((C, n)),
+                np.empty((K + 1, F)) if kept is None else None,  # a diagonal's spectra
             )
-            if keep and _KERNELS.spectra is None:
-                _KERNELS.keep(epsilon, grid, K + 1, N, work[3], work[4])
-        N, e_u, e_u_mirror, rows, spec, prod, a2 = work
-        kept = None if _KERNELS.spectra is None else _KERNELS.rows(K)
-        if kept is None and kernels is None:
-            kernels = diagonal_kernels(epsilon, grid, K)
+        N, kept, e_u, e_u_mirror, rows, spec, prod, a2, diagonal = work
+        if kept is None:
+            spectra = _diagonal_spectra(epsilon, grid, K, diagonal, rows, spec)
+        else:
+            spectra = kept[_first_row(K) : _first_row(K + 1)]
 
         def convolved(js, succ_spec):
             """The successor rows whose spectra are succ_spec, each through
-            diagonal K's kernel js: kept spectra, or transformed here."""
+            diagonal K's kernel js."""
             m = len(succ_spec)
-            if kept is None:
-                kspec = _kernel_spectra(kernels[js], N, rows, prod)
-            else:
-                kspec = kept[js]
-            np.multiply(succ_spec, kspec, out=prod[:m])
+            np.multiply(succ_spec, spectra[js], out=prod[:m])
             return np.fft.irfft(prod[:m], N, out=rows[:m])[:, :n]
 
         e_tau = loss_tau_factors(prior, epsilon, K, len(out))

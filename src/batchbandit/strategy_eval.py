@@ -50,7 +50,6 @@ from .core import (
     convolve_zero_padded,
 )
 from .dp import (
-    _KERNELS,
     DpConfig,
     StrategyTable,
     backward_sweep,
@@ -121,7 +120,6 @@ def frozen_losses(strategy: StrategyTable, gaps) -> tuple[np.ndarray, np.ndarray
     rho = np.zeros((P + 1, u.size))
     rho[1, idx] = weights
     folded = np.empty((P // 2 + 1, u.size))
-    _KERNELS.for_sweep(eps, grid)
     for K in range(2, P):
         arm1 = strategy.diagonal(K)
         H = K // 2 + 1

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import numpy.fft  # imported at its first use otherwise, inside a traced solve
 import pytest
 
 from batchbandit import dp
@@ -213,6 +214,14 @@ def test_action_table_memory_check_asks_for_the_bytes_it_builds(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_lattice():
+    """Each test starts, and leaves, with no lattice's spectra kept."""
+    dp._SLOT.clear()
+    yield
+    dp._SLOT.clear()
+
+
 def _retained_bytes(*configs) -> list[int]:
     """Traced bytes still allocated after each of the configs' solves, in order."""
     retained = []
@@ -238,31 +247,37 @@ def _fresh_spectra(epsilon, grid, K, N) -> np.ndarray:
     return np.fft.rfft(taps).real
 
 
-def test_kernels_kept_from_the_second_sweep_on_are_the_fresh_ones():
+def test_kernels_kept_from_the_first_sweep_on_are_the_fresh_ones(monkeypatch):
     grid = UGrid(3.0, 0.02)
     cfgs = [DpConfig(0.1, SymmetricPrior.two_point(d), grid) for d in (1.2, 1.6, 2.0)]
-    other = DpConfig(0.25, SymmetricPrior.two_point(1.0), grid)
-    fresh_risks = []
-    for cfg in cfgs:  # each solve the first on its lattice: nothing kept
-        solve_invariant(other, keep_strategy=False)
-        fresh_risks.append(solve_invariant(cfg, keep_strategy=False).bayes_risk)
-        assert dp._KERNELS.spectra is None
-    # the second solve keeps its kernels' spectra, the third runs on them
+    monkeypatch.setattr(dp, "_SPECTRA_BYTES", 0)  # nothing kept: spectra per diagonal
+    fresh_risks = [solve_invariant(c, keep_strategy=False).bayes_risk for c in cfgs]
+    assert dp._lattice_spectra(0.1, grid)[1] is None
+    monkeypatch.undo()
+    dp._SLOT.clear()
+    # the first sweep keeps its lattice's spectra, the later ones read them
     assert [solve_invariant(c, keep_strategy=False).bayes_risk for c in cfgs] == fresh_risks
-    N = dp._fft_length(grid.n_points, diagonal_kernels(0.1, grid, 9)[-1].size // 2)
-    assert dp._KERNELS.N == N
-    assert dp._KERNELS.spectra.shape == (dp._first_row(10), N // 2 + 1)
+    N, spectra = dp._lattice_spectra(0.1, grid)
+    assert N == dp._fft_length(grid.n_points, diagonal_kernels(0.1, grid, 9)[-1].size // 2)
+    assert spectra.shape == (dp._first_row(10), N // 2 + 1)
     for K in range(2, 10):
-        assert dp._KERNELS.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
+        rows = spectra[dp._first_row(K) : dp._first_row(K + 1)]
+        assert rows.tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
+    # N is the widest kernel's, j = K = P - 1, also where it outgrows the row
+    for eps, g in ((0.02, UGrid()), (0.25, UGrid(2.0, 0.5)), (0.5, grid)):
+        P = round(1 / eps)
+        widest = diagonal_kernels(eps, g, P - 1)[-1]
+        assert dp._lattice_spectra(eps, g)[0] == dp._fft_length(g.n_points, widest.size // 2)
 
 
-def test_one_sweep_on_a_new_lattice_retains_nothing():
-    prior = SymmetricPrior.two_point(1.6)
-    grid, other = UGrid(3.0, 0.015), UGrid(2.0, 0.05)
-    grid.points, other.points  # cached before tracing
-    solve_invariant(DpConfig(0.25, prior, other))
-    (retained,) = _retained_bytes(DpConfig(0.02, prior, grid))
-    assert retained < 100_000
+def test_one_sweep_on_a_new_lattice_retains_its_block_alone():
+    # a lattice over the cap keeps nothing, one that fits its spectra alone
+    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.015)
+    grid.points  # cached before tracing
+    over, fits = _retained_bytes(DpConfig(0.01, prior, grid), DpConfig(0.02, prior, grid))
+    block = dp._lattice_spectra(0.02, grid)[1].nbytes
+    assert over < 100_000
+    assert block < fits < block + 100_000
 
 
 def test_a_lattice_swept_once_releases_the_kernels_kept_before_it():
@@ -273,11 +288,36 @@ def test_a_lattice_swept_once_releases_the_kernels_kept_before_it():
     grid = UGrid()
     grid.points
     coarse, fine = DpConfig(0.02, prior, grid), DpConfig(0.005, prior, grid)
-    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
     first, second, third, after_fine = _retained_bytes(coarse, coarse, coarse, fine)
-    assert first < 100_000 and second > 4_500_000
-    assert abs(third - second) < 100_000  # the third sweep reuses them
+    assert first > 4_500_000
+    assert abs(second - first) < 100_000 and abs(third - first) < 100_000  # reused
     assert after_fine < 100_000
+
+
+def test_a_new_lattice_releases_the_kept_block_before_building_its_own():
+    # after an eps = 0.05 block (0.80 MB), a value sweep on another lattice
+    # that fits peaks at its own block (1.48 MB) and the sweep's arrays:
+    # a cache that dropped the old block only after building the new one
+    # would hold both
+    prior = SymmetricPrior.two_point(1.6)
+    old, new = DpConfig(0.05, prior, UGrid()), DpConfig(0.025, prior, UGrid(4.0, 0.02))
+    old.grid.points, new.grid.points
+    tracemalloc.start()
+    try:
+        solve_invariant(old, keep_strategy=False)
+        old_block = dp._lattice_spectra(old.epsilon, old.grid)[1].nbytes
+        tracemalloc.reset_peak()
+        solve_invariant(new, keep_strategy=False)  # swaps the blocks
+        peak = tracemalloc.get_traced_memory()[1]
+        new_block = dp._lattice_spectra(new.epsilon, new.grid)[1].nbytes
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_invariant(new, keep_strategy=False)  # reads the block: its own arrays
+        own = tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+    assert peak < new_block + own + 20_000
+    assert peak < old_block + new_block
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +357,16 @@ def test_fft_length_wraps_nothing_into_a_row():
 
 
 def test_first_and_later_value_sweeps_give_bitwise_equal_risks():
-    # the first sweep on a lattice builds its kernels per diagonal, the
-    # second keeps them and the third reads them; a decision sweep between
-    # leaves them as they are
+    # the first sweep on a lattice keeps its spectra and the later ones read
+    # them; decision sweeps between, on it or on another lattice, leave them
+    # as they are
     prior = SymmetricPrior.two_point(1.6)
     cfg = DpConfig(0.05, prior, UGrid(3.0, 0.02))
-    solve_invariant(DpConfig(0.25, prior, cfg.grid), keep_strategy=False)  # another lattice
     risks = [solve_invariant(cfg, keep_strategy=False) for _ in range(3)]
+    kept = dp._lattice_spectra(0.05, cfg.grid)[1]
     solve_invariant(cfg)
+    solve_invariant(DpConfig(0.25, prior, cfg.grid))
+    assert dp._lattice_spectra(0.05, cfg.grid)[1] is kept
     risks.append(solve_invariant(cfg, keep_strategy=False))
     assert len({(r.bayes_risk, r.bayes_risk_no_initial) for r in risks}) == 1
 
@@ -352,26 +394,24 @@ def test_value_and_decision_sweeps_on_one_lattice_keep_only_its_kernels():
     prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
     grid.points
     cfg = DpConfig(0.1, prior, grid)
-    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
     retained, stores = [], []
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for keep_strategy in (False, False, True):  # the second keeps the spectra
+        for keep_strategy in (False, False, True):  # the first keeps the spectra
             solve_invariant(cfg, keep_strategy=keep_strategy)
             retained.append(tracemalloc.get_traced_memory()[0] - before)
-            stores.append(dp._KERNELS.spectra)
+            stores.append(dp._lattice_spectra(0.1, grid))
     finally:
         tracemalloc.stop()
-    assert stores[1] is stores[2]
-    N = dp._KERNELS.N
-    spectra_bytes = stores[2].nbytes
-    assert spectra_bytes == dp._first_row(10) * (N // 2 + 1) * 8
-    assert retained[0] < 20_000
-    assert all(spectra_bytes < r < spectra_bytes + 20_000 for r in retained[1:])
-    assert abs(retained[2] - retained[1]) < 20_000
+    assert stores[0][1] is stores[1][1] is stores[2][1]
+    N, spectra = stores[2]
+    assert spectra.nbytes == dp._first_row(10) * (N // 2 + 1) * 8
+    assert all(spectra.nbytes < r < spectra.nbytes + 20_000 for r in retained)
+    assert abs(retained[1] - retained[0]) < 20_000 and abs(retained[2] - retained[0]) < 20_000
     for K in range(2, 10):
-        assert dp._KERNELS.rows(K).tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
+        rows = spectra[dp._first_row(K) : dp._first_row(K + 1)]
+        assert rows.tobytes() == _fresh_spectra(0.1, grid, K, N).tobytes()
 
 
 def test_a_lattice_keeps_all_its_spectra_or_none(monkeypatch):
@@ -385,35 +425,56 @@ def test_a_lattice_keeps_all_its_spectra_or_none(monkeypatch):
     risks = []
     for cap, kept in ((whole, whole), (whole - 1, None)):
         monkeypatch.setattr(dp, "_SPECTRA_BYTES", cap)
-        solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+        dp._SLOT.clear()
         for _ in range(3):
             r = solve_invariant(cfg, keep_strategy=False)
             risks.append((r.bayes_risk, r.bayes_risk_no_initial))
-        spectra = dp._KERNELS.spectra
+        spectra = dp._lattice_spectra(0.05, grid)[1]
         assert (None if spectra is None else spectra.nbytes) == kept
     assert len(set(risks)) == 1
 
 
-def test_a_kept_lattice_places_no_kernel(monkeypatch):
-    # _wrapped places the kernels a chunk transforms: the first sweep on a
-    # lattice places m kernels for arm 1, then m for arm 2, per chunk of
-    # m <= 16 rows; once the second has kept the spectra, a sweep places none
-    prior, grid = SymmetricPrior.two_point(1.6), UGrid(3.0, 0.02)
-    cfg = DpConfig(0.05, prior, grid)
-    solve_invariant(DpConfig(0.25, prior, grid), keep_strategy=False)  # another lattice
+def _placed_kernels(monkeypatch) -> list[bytes]:
+    """The kernels _wrapped places from now on, each as its bytes, in order."""
     placed = []
     wrapped = dp._wrapped
 
     def spy(kernels, n):
-        placed.append(len(kernels))
+        placed.extend(k.tobytes() for k in kernels)
         return wrapped(kernels, n)
 
     monkeypatch.setattr(dp, "_wrapped", spy)
+    return placed
+
+
+def _kernel_bytes(epsilon, grid, diagonals) -> list[bytes]:
+    return [k.tobytes() for K in diagonals for k in diagonal_kernels(epsilon, grid, K)]
+
+
+def test_a_kept_lattice_places_no_kernel(monkeypatch):
+    # the first sweep on a lattice that fits places each diagonal's K + 1
+    # kernels once, building its block; a later sweep places none
+    grid = UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, SymmetricPrior.two_point(1.6), grid)
+    placed = _placed_kernels(monkeypatch)
     solve_invariant(cfg, keep_strategy=False)
-    chunks = [min(16, K // 2 + 1 - c0) for K in range(19, 1, -1) for c0 in range(0, K // 2 + 1, 16)]
-    assert placed == [m for m in chunks for _ in "12"]
-    solve_invariant(cfg, keep_strategy=False)  # keeps the spectra
-    assert dp._KERNELS.spectra is not None
+    assert placed == _kernel_bytes(0.05, grid, range(2, 20))
+    assert dp._lattice_spectra(0.05, grid)[1] is not None
     placed.clear()
     solve_invariant(cfg, keep_strategy=False)
     assert placed == []
+
+
+def test_a_lattice_over_the_cap_places_each_kernel_once_a_sweep(monkeypatch):
+    # with no block kept, each sweep places diagonal K's K + 1 kernels
+    # exactly once, the middle kernel of an even K too, though both arms
+    # read it
+    grid = UGrid(3.0, 0.02)
+    cfg = DpConfig(0.05, SymmetricPrior.two_point(1.6), grid)
+    monkeypatch.setattr(dp, "_SPECTRA_BYTES", 0)
+    placed = _placed_kernels(monkeypatch)
+    for _ in range(2):
+        solve_invariant(cfg, keep_strategy=False)
+        assert placed == _kernel_bytes(0.05, grid, range(19, 1, -1))
+        placed.clear()
+    assert dp._lattice_spectra(0.05, grid)[1] is None
